@@ -10,9 +10,9 @@ import json
 import sys
 from fractions import Fraction
 
-from .complexes import (complex_from_dict, complex_to_dict, load_complex,
-                        parity_split, homology_ranks_at_point, validate_complex)
-from .ring import mat_generic_rank, scalar_rank
+from .complexes import (complex_from_dict, complex_to_dict,
+                        homology_ranks_at_point, validate_complex)
+from .ring import mat_generic_rank
 from .schur import SchurBasis, schur_complex
 from .tableaux import Partition, Tableau, straighten, tableau_sort_key
 
@@ -104,12 +104,12 @@ def cmd_schur(args):
         raise CliError(PARSE_ERROR, "bad shape %r: %s" % (args.shape, exc))
     if args.conjugate:
         shape = shape.conjugate()
-    s = schur_complex(shape, f)
+    basis = SchurBasis(shape, f)
+    s = schur_complex(basis, f)
     if validate_complex(s):
         print("internal error: output differentials do not compose to zero",
               file=sys.stderr)
         return INTERNAL_ERROR
-    basis = SchurBasis(shape, f)
     payload = complex_to_dict(s)
     payload["shape"] = list(shape.parts)
     payload["basis"] = [

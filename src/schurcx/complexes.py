@@ -161,7 +161,9 @@ def koszul_complex(elements):
                 rest = subset[:l] + subset[l + 1:]
                 row = index[j - 1][rest]
                 sign = 1 if l % 2 == 0 else -1
-                mat.entries[row][col] = mat.entries[row][col] + elements[elem] * sign
+                p = elements[elem] * sign
+                if p.terms:
+                    mat.columns[col][row] = p
         diffs.append(mat)
     return FreeComplex(ring, 0, [len(lvl) for lvl in levels], diffs)
 

@@ -12,6 +12,7 @@ floating point is used anywhere.
 """
 
 from fractions import Fraction
+import heapq
 import random
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -21,11 +22,9 @@ def is_prime(n):
     """Deterministic Miller-Rabin, valid for every n below 3.3e24."""
     if n < 2:
         return False
-    small = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-    if n in small:
-        return True
-    if any(n % p == 0 for p in small):
-        return False
+    for p in _MR_WITNESSES:
+        if n % p == 0:
+            return n == p
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
@@ -270,9 +269,13 @@ class Polynomial:
     def __pow__(self, k):
         if k < 0:
             raise ValueError("negative power")
-        result = self.ring.one()
-        for _ in range(k):
-            result = result * self
+        result, square = self.ring.one(), self
+        while k:
+            if k & 1:
+                result = result * square
+            k >>= 1
+            if k:
+                square = square * square
         return result
 
     def __eq__(self, other):
@@ -286,19 +289,18 @@ class Polynomial:
 
     def evaluate(self, point):
         """Evaluate at a point (one scalar per ring variable), exactly."""
-        if len(point) != self.ring.nvars:
-            raise ValueError("point has %d coordinates, ring has %d variables"
-                             % (len(point), self.ring.nvars))
-        field = self.ring.field
-        point = [field.coerce(v) for v in point]
-        total = field.zero()
+        return self._value_at(_coerce_point(self.ring, point))
+
+    def _value_at(self, point):
+        """Value at a point whose coordinates are already field scalars."""
+        p = self.ring.field.p
+        total = self.ring.field.zero()
         for exps, c in self.terms.items():
-            v = c
             for x, e in zip(point, exps):
-                for _ in range(e):
-                    v = field.mul(v, x)
-            total = field.add(total, v)
-        return total
+                if e:
+                    c = c * x ** e if p is None else c * pow(x, e, p) % p
+            total += c
+        return total if p is None else total % p
 
     def leading(self):
         """Leading (exponents, scalar) under descending lex; None for zero."""
@@ -333,16 +335,11 @@ class Polynomial:
         return "Polynomial(%s)" % format_polynomial(self)
 
 
-def poly_add(p, q):
-    return p + q
-
-
-def poly_mul(p, q):
-    return p * q
-
-
-def poly_eval(p, point):
-    return p.evaluate(point)
+def _coerce_point(ring, point):
+    if len(point) != ring.nvars:
+        raise ValueError("point has %d coordinates, ring has %d variables"
+                         % (len(point), ring.nvars))
+    return [ring.field.coerce(v) for v in point]
 
 
 # -- text grammar ------------------------------------------------------------
@@ -410,11 +407,13 @@ def parse_polynomial(ring, text):
             name = take("name")
             if name not in ring.variables:
                 raise ValueError("unknown variable %r" % name)
-            v = ring.variable(name)
+            power = 1
             if peek() == "^":
                 take("^")
-                return v ** int(take("int"))
-            return v
+                power = int(take("int"))
+            exps = [0] * ring.nvars
+            exps[ring.variables.index(name)] = power
+            return Polynomial(ring, {tuple(exps): ring.field.one()})
         raise ValueError("expected a coefficient or variable in %r" % text)
 
     def parse_term():
@@ -480,9 +479,14 @@ def format_polynomial(p):
 # -- matrices ----------------------------------------------------------------
 
 class PolyMatrix:
-    """Dense matrix of polynomials from one ring."""
+    """Sparse matrix of polynomials from one ring.
 
-    __slots__ = ("ring", "rows", "cols", "entries")
+    Column j is stored as a dict {row: nonzero Polynomial}; zero entries are
+    not stored.  Code that assembles a matrix may fill the columns of
+    `PolyMatrix.zero` directly, as long as it stores no zero polynomial.
+    """
+
+    __slots__ = ("ring", "rows", "cols", "columns")
 
     def __init__(self, ring, entries, shape=None):
         entries = [list(row) for row in entries]
@@ -492,113 +496,183 @@ class PolyMatrix:
             if rows != shape[0] or (rows and cols != shape[1]):
                 raise ValueError("entries do not match shape %r" % (shape,))
             rows, cols = shape  # keep column count of an empty matrix
-        for row in entries:
+        columns = [{} for _ in range(cols)]
+        for i, row in enumerate(entries):
             if len(row) != cols:
                 raise ValueError("ragged matrix")
-            for p in row:
+            for col, p in zip(columns, row):
                 if not isinstance(p, Polynomial) or p.ring != ring:
                     raise ValueError("entry from wrong ring")
+                if p.terms:
+                    col[i] = p
         self.ring = ring
         self.rows = rows
         self.cols = cols
-        self.entries = entries
+        self.columns = columns
 
     @classmethod
     def zero(cls, ring, rows, cols):
-        z = ring.zero()
-        return cls(ring, [[z] * cols for _ in range(rows)], shape=(rows, cols))
+        m = cls.__new__(cls)
+        m.ring, m.rows, m.cols = ring, rows, cols
+        m.columns = [{} for _ in range(cols)]
+        return m
 
     @classmethod
     def identity(cls, ring, n):
-        z, one = ring.zero(), ring.one()
-        return cls(ring, [[one if i == j else z for j in range(n)] for i in range(n)])
+        m = cls.zero(ring, n, n)
+        for i, col in enumerate(m.columns):
+            col[i] = ring.one()
+        return m
 
     @classmethod
     def from_strings(cls, ring, rows):
         return cls(ring, [[ring.parse(s) for s in row] for row in rows])
 
+    def _dense(self, zero, value):
+        """Dense rows holding value(p) at each stored entry p, zero elsewhere."""
+        out = [[zero] * self.cols for _ in range(self.rows)]
+        for j, col in enumerate(self.columns):
+            for i, p in col.items():
+                out[i][j] = value(p)
+        return out
+
+    @property
+    def entries(self):
+        """Dense rows of polynomials, built on each read: a copy, not a view."""
+        return self._dense(self.ring.zero(), lambda p: p)
+
     def __getitem__(self, ij):
         i, j = ij
-        return self.entries[i][j]
+        p = self.columns[j].get(i)
+        if p is None:
+            if not 0 <= i < self.rows:
+                raise IndexError("row %d out of range" % i)
+            return self.ring.zero()
+        return p
 
     def __eq__(self, other):
         return (isinstance(other, PolyMatrix) and self.ring == other.ring
                 and self.shape == other.shape
-                and self.entries == other.entries)
+                and self.columns == other.columns)
 
     @property
     def shape(self):
         return (self.rows, self.cols)
 
     def is_zero(self):
-        return all(p.is_zero() for row in self.entries for p in row)
+        return not any(self.columns)
 
     def transpose(self):
-        return PolyMatrix(self.ring,
-                          [[self.entries[i][j] for i in range(self.rows)]
-                           for j in range(self.cols)],
-                          shape=(self.cols, self.rows))
+        out = PolyMatrix.zero(self.ring, self.cols, self.rows)
+        for j, col in enumerate(self.columns):
+            for i, p in col.items():
+                out.columns[i][j] = p
+        return out
 
     def evaluate(self, point):
-        return [[p.evaluate(point) for p in row] for row in self.entries]
+        """Dense rows of field scalars: the matrix specialized at a point."""
+        point = _coerce_point(self.ring, point)
+        return self._dense(self.ring.field.zero(), lambda p: p._value_at(point))
 
     def to_strings(self):
-        return [[format_polynomial(p) for p in row] for row in self.entries]
+        return self._dense("0", format_polynomial)
 
     def __repr__(self):
         return "PolyMatrix(%dx%d over %r)" % (self.rows, self.cols, self.ring.field)
 
 
 def mat_mul(a, b):
-    """Exact matrix product; raises on shape or ring mismatch."""
+    """Exact matrix product; raises on shape or ring mismatch.
+
+    Only pairs of stored entries are multiplied: column j of the product
+    sums column k of a times the entry (k, j) of b.
+    """
     if a.ring != b.ring:
         raise ValueError("ring mismatch")
     if a.cols != b.rows:
         raise ValueError("shape mismatch: %dx%d times %dx%d"
                          % (a.rows, a.cols, b.rows, b.cols))
-    zero = a.ring.zero()
-    out = []
-    for i in range(a.rows):
-        row = []
-        for j in range(b.cols):
-            acc = zero
-            for k in range(a.cols):
-                p, q = a.entries[i][k], b.entries[k][j]
-                if p.terms and q.terms:
-                    acc = acc + p * q
-            row.append(acc)
-        out.append(row)
-    return PolyMatrix(a.ring, out, shape=(a.rows, b.cols))
+    out = PolyMatrix.zero(a.ring, a.rows, b.cols)
+    for bcol, ocol in zip(b.columns, out.columns):
+        for k, q in bcol.items():
+            for i, p in a.columns[k].items():
+                acc = ocol.get(i)
+                ocol[i] = p * q if acc is None else acc + p * q
+        for i in [i for i, s in ocol.items() if not s.terms]:
+            del ocol[i]
+    return out
+
+
+class SparseEchelon:
+    """Incremental row echelon form over a CoefficientField.
+
+    Vectors and rows are dicts {column: scalar} over any ordered column keys.
+    Each stored row has its smallest column as pivot, scaled to one, and is
+    kept under that pivot; no two rows share a pivot.
+    """
+
+    def __init__(self, field):
+        self.field = field
+        self.rows = {}
+
+    @property
+    def rank(self):
+        return len(self.rows)
+
+    def reduce(self, vec):
+        """Residual of a vector modulo the rows: a new dict with no zeros.
+
+        Pivots are cleared in ascending column order; every column left in
+        the residual has no row.
+        """
+        p = self.field.p
+        rows = self.rows
+        vec = {k: c for k, c in vec.items() if c}
+        todo = sorted(vec)
+        while todo:
+            piv = heapq.heappop(todo)
+            row = rows.get(piv)
+            c = vec.get(piv)
+            if row is None or c is None:
+                continue
+            del vec[piv]
+            for k, r in row.items():
+                if k == piv:
+                    continue
+                old = vec.get(k)
+                s = (0 if old is None else old) - c * r
+                if p is not None:
+                    s %= p
+                if s:
+                    vec[k] = s
+                    if old is None:
+                        heapq.heappush(todo, k)
+                elif old is not None:
+                    del vec[k]
+        return vec
+
+    def insert(self, vec):
+        """Reduce and install; returns True when the rank grew."""
+        res = self.reduce(vec)
+        if not res:
+            return False
+        piv = min(res)
+        inv = self.field.invert(res[piv])
+        if inv == int(inv):
+            inv = int(inv)  # integer rows over QQ then stay on int arithmetic
+        self.rows[piv] = {k: self.field.mul(c, inv) for k, c in res.items()}
+        return True
+
+    def contains(self, vec):
+        return not self.reduce(vec)
 
 
 def scalar_rank(field, rows):
-    """Rank of a scalar matrix by exact Gaussian elimination."""
-    m = [list(r) for r in rows]
-    nrows = len(m)
-    ncols = len(m[0]) if nrows else 0
-    zero = field.zero()
-    rank = 0
-    for col in range(ncols):
-        pivot = None
-        for i in range(rank, nrows):
-            if m[i][col] != zero:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        inv = field.invert(m[rank][col])
-        for i in range(rank + 1, nrows):
-            c = m[i][col]
-            if c == zero:
-                continue
-            factor = field.mul(c, inv)
-            m[i] = [field.add(a, field.neg(field.mul(factor, b)))
-                    for a, b in zip(m[i], m[rank])]
-        rank += 1
-        if rank == nrows:
-            break
-    return rank
+    """Rank of a scalar matrix, given as rows, by exact sparse elimination."""
+    echelon = SparseEchelon(field)
+    for row in rows:
+        echelon.insert(dict(enumerate(row)))
+    return echelon.rank
 
 
 def mat_rank_at_point(a, point):
@@ -631,7 +705,7 @@ def mat_rank_exact(a, max_dim=64):
     """
     if max(a.rows, a.cols) > max_dim:
         raise ValueError("matrix exceeds Bareiss size guard (%d)" % max_dim)
-    m = [row[:] for row in a.entries]
+    m = a.entries
     nrows, ncols = a.rows, a.cols
     prev = a.ring.one()
     rank = 0

@@ -57,10 +57,6 @@ class SchurBasis:
             list(self.shape.parts), self.min_degree, self.max_degree)
 
 
-def schur_basis(shape, f):
-    return SchurBasis(shape, f)
-
-
 def _entry_differential_table(f, parity):
     """For every entry label, the terms of d on its basis vector.
 
@@ -74,10 +70,8 @@ def _entry_differential_table(f, parity):
         terms = []
         d = f.differential_from(deg)
         if d is not None:
-            for row in range(d.rows):
-                p = d.entries[row][idx]
-                if not p.is_zero():
-                    terms.append((p, parity.label_of(deg - 1, row)))
+            for row, p in d.columns[idx].items():
+                terms.append((p, parity.label_of(deg - 1, row)))
         table[label] = terms
     return table
 
@@ -147,9 +141,10 @@ def schur_complex(shape, f):
 
     Term ranks count standard tableaux per total degree (gaps get rank 0)
     and the differentials expand tableau_differential in the canonical
-    tableau order.
+    tableau order.  The shape may also be given as its SchurBasis over f,
+    already enumerated.
     """
-    basis = SchurBasis(shape, f)
+    basis = shape if isinstance(shape, SchurBasis) else SchurBasis(shape, f)
     ring = f.ring
     if basis.is_empty():
         return FreeComplex(ring, 0, (0,), ())
@@ -163,10 +158,10 @@ def schur_complex(shape, f):
         targets = basis.at(k - 1)
         row_of = {t: i for i, t in enumerate(targets)}
         mat = PolyMatrix.zero(ring, len(targets), len(sources))
-        for j, t in enumerate(sources):
+        for t, col in zip(sources, mat.columns):
             image = tableau_differential(t, f, _table=table, _parity=parity)
             for std, poly in image.items():
-                mat.entries[row_of[std]][j] = poly
+                col[row_of[std]] = poly
         diffs.append(mat)
     return FreeComplex(ring, basis.min_degree, ranks, diffs)
 

@@ -29,8 +29,10 @@ inside the tensor algebra and is used as an independent test oracle.
 import itertools
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, gcd
+from math import comb
 from typing import NamedTuple
+
+from .ring import RATIONALS, SparseEchelon
 
 
 class Partition:
@@ -76,12 +78,6 @@ class Partition:
 
     def __repr__(self):
         return "Partition(%s)" % (list(self.parts),)
-
-
-def conjugate_partition(shape):
-    if not isinstance(shape, Partition):
-        shape = Partition(shape)
-    return shape.conjugate()
 
 
 class Tableau:
@@ -169,14 +165,12 @@ def check_entry_range(t, m, n):
                 raise ValueError("entry %d outside range m=%d, n=%d" % (v, m, n))
 
 
-def normalize_column(entries):
-    """Sort a column into canonical order, tracking the sign.
+def _signed_sort(letters):
+    """Sort letters by adjacent swaps; returns (sorted list, sign).
 
-    Returns (canonical tuple, sign) or None when the column vanishes
-    (a repeated positive entry).  Canonical order is weakly increasing:
-    negatives first with repeats kept, then distinct positives.
+    Swapping two negative (odd) letters keeps the sign; any other swap flips it.
     """
-    work = list(entries)
+    work = list(letters)
     sign = 1
     for i in range(len(work)):
         for j in range(len(work) - 1 - i):
@@ -185,6 +179,17 @@ def normalize_column(entries):
                 work[j], work[j + 1] = y, x
                 if x > 0 or y > 0:
                     sign = -sign
+    return work, sign
+
+
+def normalize_column(entries):
+    """Sort a column into canonical order, tracking the sign.
+
+    Returns (canonical tuple, sign) or None when the column vanishes
+    (a repeated positive entry).  Canonical order is weakly increasing:
+    negatives first with repeats kept, then distinct positives.
+    """
+    work, sign = _signed_sort(entries)
     for a, b in zip(work, work[1:]):
         if a == b and a > 0:
             return None
@@ -291,14 +296,7 @@ def _merge_positives(p1, p2):
     """Concatenate exterior letters and sort with anticommutation signs."""
     if set(p1) & set(p2):
         return None
-    merged = list(p1) + list(p2)
-    sign = 1
-    for i in range(len(merged)):
-        for j in range(len(merged) - 1 - i):
-            if merged[j] > merged[j + 1]:
-                merged[j], merged[j + 1] = merged[j + 1], merged[j]
-                sign = -sign
-    return merged, sign
+    return _signed_sort(p1 + p2)
 
 
 def column_product(x, y):
@@ -317,15 +315,6 @@ def column_product(x, y):
     poss, psign = merged_p
     negs, coeff = _merge_negatives(nx, ny)
     return tuple(negs) + tuple(poss), sign * psign * coeff
-
-
-def wedge_product(x, y):
-    """Product of two canonical columns as a single-term combination."""
-    result = column_product(tuple(x), tuple(y))
-    if result is None:
-        return {}
-    col, coeff = result
-    return {col: coeff}
 
 
 def _unshuffle_sign(positions, total):
@@ -652,71 +641,15 @@ def deconcatenate(u, p):
 
 # -- relation span oracle ----------------------------------------------------
 
-class SparseIntEchelon:
-    """Incremental echelon form over the rationals with integer rows."""
-
-    def __init__(self):
-        self.rows = {}
-
-    @property
-    def rank(self):
-        return len(self.rows)
-
-    @staticmethod
-    def _normalize(vec):
-        g = 0
-        for c in vec.values():
-            g = gcd(g, c)
-        if g > 1:
-            for k in vec:
-                vec[k] //= g
-        return vec
-
-    def reduce(self, vec):
-        """Reduce a {index: int} vector; the residual is equivalent up to scale."""
-        vec = dict(vec)
-        while vec:
-            piv = min(vec)
-            row = self.rows.get(piv)
-            if row is None:
-                return vec
-            a = vec.pop(piv)
-            b = row[piv]
-            # vec <- b*vec - a*row, which zeroes the pivot slot
-            for k in vec:
-                vec[k] *= b
-            for k, c in row.items():
-                if k == piv:
-                    continue
-                s = vec.get(k, 0) - c * a
-                if s:
-                    vec[k] = s
-                else:
-                    vec.pop(k, None)
-            self._normalize(vec)
-        return vec
-
-    def insert(self, vec):
-        """Reduce and install; returns True when the rank grew."""
-        res = self.reduce(vec)
-        if not res:
-            return False
-        self._normalize(res)
-        self.rows[min(res)] = res
-        return True
-
-    def contains(self, vec):
-        return not self.reduce(vec)
-
-
 @lru_cache(maxsize=None)
 def _theta_pair_rows(ca, cb, m, n):
     """Independent relation rows between one adjacent column pair.
 
     Rows are sparse vectors over pairs (left column, right column), one per
-    independent relation generator, already in echelon form.
+    relation generator that is independent of the ones before it.
     """
-    ech = SparseIntEchelon()
+    ech = SparseEchelon(RATIONALS)
+    rows = []
     for u in range(ca + 1):
         for v in range(cb - u):
             basis_u = column_basis(u, m, n)
@@ -726,10 +659,9 @@ def _theta_pair_rows(ca, cb, m, n):
                 for v3 in basis_v:
                     for v2 in basis_mid:
                         image = theta_image(v1, v2, v3, ca, cb)
-                        if image:
-                            ech.insert(image)
-    # the echelon rows themselves are an independent generating set
-    return tuple(tuple(sorted(row.items())) for _, row in sorted(ech.rows.items()))
+                        if ech.insert(image):
+                            rows.append(tuple(sorted(image.items())))
+    return tuple(rows)
 
 
 class RelationSpan:
@@ -753,7 +685,7 @@ class RelationSpan:
         for i, combo in enumerate(itertools.product(*self.bases)):
             self.index[combo] = i
         self.dimension = len(self.index)
-        self.echelon = SparseIntEchelon()
+        self.echelon = SparseEchelon(RATIONALS)
         self._build()
 
     def _build(self):
@@ -785,8 +717,7 @@ class RelationSpan:
     def vector_of(self, combination):
         """Coordinates of {Tableau: coefficient} over the spanning fillings.
 
-        Columns are normalized first; rational coefficients are cleared to
-        integers, which leaves membership in the span unchanged.
+        Columns are normalized first; coefficients become Fractions.
         """
         vec = {}
         for t, coeff in combination.items():
@@ -801,15 +732,7 @@ class RelationSpan:
             else:
                 idx = self.index[tuple(cols)]
                 vec[idx] = vec.get(idx, 0) + Fraction(coeff) * sign
-        denom = 1
-        for c in vec.values():
-            denom = denom * c.denominator // gcd(denom, c.denominator)
-        out = {}
-        for k, c in vec.items():
-            val = int(c * denom)
-            if val:
-                out[k] = val
-        return out
+        return vec
 
     def contains(self, combination):
         return self.echelon.contains(self.vector_of(combination))

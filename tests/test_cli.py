@@ -2,6 +2,7 @@
 
 import json
 import subprocess
+import time
 
 import pytest
 
@@ -136,6 +137,21 @@ def test_verify_single_term_complex(tmp_path, capsys):
     path.write_text(json.dumps(data))
     assert main(["verify", "--complex", str(path)]) == 0
     assert capsys.readouterr().out == "ok\n"
+
+
+def test_verify_huge_exponent_is_fast(tmp_path, capsys):
+    data = {
+        "ring": {"coefficients": "QQ", "variables": ["x"]},
+        "min_degree": 0,
+        "ranks": [1, 1],
+        "differentials": [[["x^99999999999"]]],
+    }
+    path = tmp_path / "power.json"
+    path.write_text(json.dumps(data))
+    start = time.monotonic()
+    assert main(["verify", "--complex", str(path)]) == 0
+    assert capsys.readouterr().out == "ok\n"
+    assert time.monotonic() - start < 2.0
 
 
 def test_schur_identity_shape_returns_input(tmp_path, capsys, koszul_file):

@@ -1,14 +1,14 @@
 """Polynomial and matrix arithmetic over QQ and GF(p)."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
 from schurcx import (GF, RATIONALS, PolyMatrix, PolyRing, format_polynomial,
                      is_prime, mat_generic_rank, mat_mul, mat_rank_at_point,
-                     mat_rank_exact, parse_polynomial, poly_add, poly_eval,
-                     poly_mul, scalar_rank)
+                     mat_rank_exact, parse_polynomial, scalar_rank)
 
 
 @pytest.fixture
@@ -18,7 +18,7 @@ def qq_xy():
 
 def test_add_inverse(qq_xy):
     x = qq_xy.variable("x")
-    assert poly_add(x, -x) == qq_xy.zero()
+    assert x + -x == qq_xy.zero()
 
 
 def test_add_collects_like_terms(qq_xy):
@@ -34,7 +34,7 @@ def test_char_two_addition():
 
 def test_difference_of_squares(qq_xy):
     x, y = qq_xy.gens()
-    assert poly_mul(x + y, x - y) == x * x - y * y
+    assert (x + y) * (x - y) == x * x - y * y
 
 
 def test_mul_absorbs_zero(qq_xy):
@@ -49,16 +49,16 @@ def test_rational_scalar_cancellation(qq_xy):
 
 def test_eval_direct(qq_xy):
     p = qq_xy.parse("x^2 - y^2")
-    assert poly_eval(p, (3, 2)) == 5
+    assert p.evaluate((3, 2)) == 5
 
 
 def test_eval_zero(qq_xy):
-    assert poly_eval(qq_xy.zero(), (11, -4)) == 0
+    assert qq_xy.zero().evaluate((11, -4)) == 0
 
 
 def test_eval_fraction_point(qq_xy):
     p = qq_xy.parse("x*y")
-    assert poly_eval(p, (Fraction(1, 2), 4)) == 2
+    assert p.evaluate((Fraction(1, 2), 4)) == 2
 
 
 def test_eval_is_hom():
@@ -68,9 +68,9 @@ def test_eval_is_hom():
         for _ in range(25):
             a, b, c = (_random(ring, rng) for _ in range(3))
             pt = [rng.randint(-4, 4) for _ in range(3)]
-            lhs = poly_eval(a * b + c, pt)
-            rhs = field.add(field.mul(poly_eval(a, pt), poly_eval(b, pt)),
-                            poly_eval(c, pt))
+            lhs = (a * b + c).evaluate(pt)
+            rhs = field.add(field.mul(a.evaluate(pt), b.evaluate(pt)),
+                            c.evaluate(pt))
             assert lhs == rhs
 
 
@@ -249,3 +249,92 @@ def test_matrix_to_strings_round_trip(qq_xy):
     rows = [["x - y", "2*y^2"], ["0", "1/3*x"]]
     a = PolyMatrix.from_strings(qq_xy, rows)
     assert PolyMatrix.from_strings(qq_xy, a.to_strings()) == a
+
+
+def test_power_of_variable_builds_one_monomial():
+    ring = PolyRing(GF(32003), ("x", "y"))
+    p = ring.parse("x^99999999999*y")
+    assert p.terms == {(99999999999, 1): 1}
+    assert ring.variable("y") ** 5 == ring.parse("y^5")
+    assert (ring.parse("x + 1") ** 3) == ring.parse("x^3 + 3*x^2 + 3*x + 1")
+
+
+def test_evaluate_huge_exponent_mod_p():
+    start = time.monotonic()
+    p = 32003
+    ring = PolyRing(GF(p), ("x",))
+    poly = ring.parse("x^%d + 2" % 10 ** 11)
+    for a in (0, 1, 5, 31999):
+        # Fermat: a^(10^11) = a^(10^11 mod (p-1)) for a != 0
+        want = (pow(a, 10 ** 11 % (p - 1), p) if a else 0) + 2
+        assert poly.evaluate((a,)) == want % p
+    assert time.monotonic() - start < 1.0
+
+
+def _random_sparse_rows(rng, field, nrows, ncols):
+    rows = [[field.coerce(rng.choice((-3, -1, 1, 2, 5)))
+             if rng.random() < 0.3 else field.zero() for _ in range(ncols)]
+            for _ in range(nrows)]
+    if nrows and ncols and rng.random() < 0.5:
+        rows[rng.randrange(nrows)] = [field.zero()] * ncols
+    if nrows and ncols and rng.random() < 0.5:
+        j = rng.randrange(ncols)
+        for row in rows:
+            row[j] = field.zero()
+    if nrows > 1 and rng.random() < 0.5:
+        # a combination of two rows, so that elimination must cancel
+        a, b = rng.sample(range(nrows), 2)
+        rows[a] = [field.add(x, field.mul(field.coerce(2), y))
+                   for x, y in zip(rows[a], rows[b])]
+    return rows
+
+
+def test_scalar_rank_matches_bareiss():
+    rng = random.Random(5)
+    for field in (RATIONALS, GF(7)):
+        ring = PolyRing(field, ("x",))
+        for nrows, ncols in [(0, 4), (4, 0), (0, 0)] + [
+                (rng.randint(1, 7), rng.randint(1, 7)) for _ in range(40)]:
+            rows = _random_sparse_rows(rng, field, nrows, ncols)
+            a = PolyMatrix(ring, [[ring.constant(c) for c in row] for row in rows],
+                           shape=(nrows, ncols))
+            assert scalar_rank(field, rows) == mat_rank_exact(a)
+            assert mat_rank_at_point(a, (3,)) == mat_rank_exact(a)
+
+
+def test_matrix_stores_only_nonzeros(qq_xy):
+    x, y = qq_xy.gens()
+    a = PolyMatrix(qq_xy, [[x, qq_xy.zero()], [qq_xy.zero(), x - x]])
+    assert a.columns == [{0: x}, {}]
+    assert a[0, 1] == qq_xy.zero() and a[1, 1] == qq_xy.zero()
+    assert a.entries == [[x, qq_xy.zero()], [qq_xy.zero(), qq_xy.zero()]]
+    b = PolyMatrix(qq_xy, [[y, x], [qq_xy.zero(), y]])
+    c = mat_mul(PolyMatrix(qq_xy, [[x, y]]), PolyMatrix(qq_xy, [[y], [-x]]))
+    assert c.is_zero() and c.columns == [{}]
+    assert all(p.terms for m in (a, b, mat_mul(a, b)) for col in m.columns
+               for p in col.values())
+
+
+def test_matrix_round_trips():
+    rng = random.Random(12)
+    for field in (RATIONALS, GF(5)):
+        ring = PolyRing(field, ("x", "y"))
+        for nrows, ncols in ((1, 1), (2, 3), (4, 2), (3, 5)):
+            a = PolyMatrix(ring, [[_random(ring, rng) for _ in range(ncols)]
+                                  for _ in range(nrows)])
+            assert PolyMatrix.from_strings(ring, a.to_strings()) == a
+            assert a.transpose().transpose() == a
+            assert a.transpose().shape == (ncols, nrows)
+            assert all(a.transpose()[j, i] == a[i, j]
+                       for i in range(nrows) for j in range(ncols))
+
+
+def test_matrix_constructor_rejects_bad_entries(qq_xy):
+    x, y = qq_xy.gens()
+    with pytest.raises(ValueError):
+        PolyMatrix(qq_xy, [[x, y], [x]])
+    other = PolyRing(GF(3), ("x", "y"))
+    with pytest.raises(ValueError):
+        PolyMatrix(qq_xy, [[x, other.variable("x")]])
+    with pytest.raises(ValueError):
+        PolyMatrix(qq_xy, [[x, 1]])
