@@ -14,40 +14,20 @@ rewritten into that basis by `straighten`.
 (2, 4, 2)
 """
 
-from .ring import (GF, RATIONALS, CoefficientField, PolyMatrix, PolyRing,
-                   Polynomial, format_polynomial, is_prime, mat_generic_rank,
-                   mat_mul, mat_rank_at_point, mat_rank_exact, parse_polynomial,
-                   scalar_rank)
-from .complexes import (FreeComplex, ParityBasis, complex_from_dict,
-                        complex_to_dict, homology_ranks_at_point,
-                        koszul_complex, load_complex, parity_split,
-                        ring_from_dict, ring_to_dict, save_complex,
-                        validate_complex)
-from .tableaux import (Partition, RelationSpan, Tableau, Violation,
-                       column_basis, column_is_canonical, column_product,
-                       deconcatenate, enumerate_standard, find_violation,
-                       is_standard, normalize_column, relation_membership,
-                       shuffle_mul, straighten, tableau_sort_key, tensor_embed,
-                       theta_expand, theta_image, wedge_coproduct)
-from .schur import (SchurBasis, exterior_power, schur_complex, symmetric_power,
-                    tableau_degree, tableau_differential)
+from .ring import (GF, RATIONALS, PolyMatrix, PolyRing, mat_generic_rank,
+                   mat_rank_exact)
+from .complexes import (FreeComplex, homology_ranks_at_point, koszul_complex,
+                        save_complex, validate_complex)
+from .tableaux import Tableau, enumerate_standard, straighten
+from .schur import SchurBasis, exterior_power, schur_complex, symmetric_power
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "GF", "RATIONALS", "CoefficientField", "PolyMatrix", "PolyRing",
-    "Polynomial", "format_polynomial", "is_prime", "mat_generic_rank",
-    "mat_mul", "mat_rank_at_point", "mat_rank_exact", "parse_polynomial",
-    "scalar_rank",
-    "FreeComplex", "ParityBasis", "complex_from_dict", "complex_to_dict",
-    "homology_ranks_at_point", "koszul_complex", "load_complex",
-    "parity_split", "ring_from_dict", "ring_to_dict", "save_complex",
+    "GF", "RATIONALS", "PolyMatrix", "PolyRing", "mat_generic_rank",
+    "mat_rank_exact",
+    "FreeComplex", "homology_ranks_at_point", "koszul_complex", "save_complex",
     "validate_complex",
-    "Partition", "RelationSpan", "Tableau", "Violation", "column_basis",
-    "column_is_canonical", "column_product", "deconcatenate",
-    "enumerate_standard", "find_violation", "is_standard", "normalize_column",
-    "relation_membership", "shuffle_mul", "straighten", "tableau_sort_key",
-    "tensor_embed", "theta_expand", "theta_image", "wedge_coproduct",
-    "SchurBasis", "exterior_power", "schur_complex",
-    "symmetric_power", "tableau_degree", "tableau_differential",
+    "Tableau", "enumerate_standard", "straighten",
+    "SchurBasis", "exterior_power", "schur_complex", "symmetric_power",
 ]

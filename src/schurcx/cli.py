@@ -14,7 +14,7 @@ from .complexes import (complex_from_dict, complex_to_dict,
                         homology_ranks_at_point, validate_complex)
 from .ring import mat_generic_rank
 from .schur import SchurBasis, schur_complex
-from .tableaux import Partition, Tableau, straighten, tableau_sort_key
+from .tableaux import Partition, Tableau, straighten
 
 OK, VERIFY_FAILED, PARSE_ERROR, INVALID_INPUT, INTERNAL_ERROR = 0, 1, 2, 3, 4
 
@@ -83,10 +83,9 @@ def _parse_point(text, ring):
 
 
 def cmd_straighten(args):
-    t = _load_tableau(args.tableau)
-    result = straighten(t)
-    items = sorted(result.items(), key=lambda kv: tableau_sort_key(kv[0]))
-    payload = [{"coefficient": c, "tableau": t.to_entries()} for t, c in items]
+    result = straighten(_load_tableau(args.tableau))
+    payload = [{"coefficient": c, "tableau": t.to_entries()}
+               for t, c in result.items()]
     _emit(payload, args.out)
     return OK
 

@@ -8,28 +8,37 @@ the source basis, rows by the target basis, i.e. d sends degree k to k-1.
 
 import json
 
-from .ring import (CoefficientField, PolyRing, PolyMatrix, RATIONALS,
-                   format_polynomial, mat_mul, scalar_rank)
+from .ring import (CoefficientField, PolyRing, PolyMatrix, RATIONALS, mat_mul,
+                   scalar_rank)
+
+
+def _check_terms(min_degree, ranks, count):
+    """Raise unless the degrees and ranks fit a complex with count maps."""
+    if not isinstance(min_degree, int):
+        raise ValueError("min_degree must be an integer, got %r" % (min_degree,))
+    if not ranks:
+        raise ValueError("a complex needs at least one term")
+    if not all(isinstance(r, int) for r in ranks):
+        raise ValueError("ranks must be integers, got %r" % (list(ranks),))
+    if any(r < 0 for r in ranks):
+        raise ValueError("negative rank")
+    if count != len(ranks) - 1:
+        raise ValueError("expected %d differentials, got %d"
+                         % (len(ranks) - 1, count))
 
 
 class FreeComplex:
     """A bounded complex of free modules over a polynomial ring."""
 
     def __init__(self, ring, min_degree, ranks, differentials):
-        ranks = tuple(int(r) for r in ranks)
+        ranks = tuple(ranks)
         differentials = tuple(differentials)
-        if not ranks:
-            raise ValueError("a complex needs at least one term")
-        if any(r < 0 for r in ranks):
-            raise ValueError("negative rank")
-        if len(differentials) != len(ranks) - 1:
-            raise ValueError("expected %d differentials, got %d"
-                             % (len(ranks) - 1, len(differentials)))
+        _check_terms(min_degree, ranks, len(differentials))
         for d in differentials:
             if d.ring != ring:
                 raise ValueError("differential over wrong ring")
         self.ring = ring
-        self.min_degree = int(min_degree)
+        self.min_degree = min_degree
         self.ranks = ranks
         self.differentials = differentials
 
@@ -212,6 +221,7 @@ def complex_to_dict(f):
 def complex_from_dict(data):
     ring = ring_from_dict(data["ring"])
     ranks = data["ranks"]
+    _check_terms(data["min_degree"], ranks, len(data["differentials"]))
     diffs = []
     for i, rows in enumerate(data["differentials"]):
         if len(rows) != ranks[i] or any(len(r) != ranks[i + 1] for r in rows):

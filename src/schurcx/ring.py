@@ -13,6 +13,7 @@ floating point is used anywhere.
 
 from fractions import Fraction
 import heapq
+from operator import add
 import random
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -102,11 +103,6 @@ class CoefficientField:
         if self.p is None:
             return Fraction(num, den)
         return self.coerce(Fraction(num, den))
-
-    def format(self, a):
-        if self.p is None:
-            return str(a)
-        return str(a % self.p)
 
     def __eq__(self, other):
         return isinstance(other, CoefficientField) and self.p == other.p
@@ -202,11 +198,6 @@ class Polynomial:
     def is_zero(self):
         return not self.terms
 
-    def total_degree(self):
-        if not self.terms:
-            return -1
-        return max(sum(e) for e in self.terms)
-
     def _check_ring(self, other):
         if self.ring != other.ring:
             raise ValueError("ring mismatch")
@@ -215,16 +206,10 @@ class Polynomial:
         if isinstance(other, (int, Fraction)):
             other = self.ring.constant(other)
         self._check_ring(other)
-        field = self.ring.field
-        zero = field.zero()
-        out = dict(self.terms)
+        acc = dict(self.terms)
         for exps, c in other.terms.items():
-            s = field.add(out.get(exps, zero), c)
-            if s == zero:
-                out.pop(exps, None)
-            else:
-                out[exps] = s
-        return Polynomial(self.ring, out)
+            acc[exps] = acc.get(exps, 0) + c
+        return Polynomial(self.ring, reduce_terms(self.ring.field, acc))
 
     __radd__ = __add__
 
@@ -249,20 +234,8 @@ class Polynomial:
             return Polynomial(self.ring,
                               {e: field.mul(v, c) for e, v in self.terms.items()})
         self._check_ring(other)
-        if not self.terms or not other.terms:
-            return self.ring.zero()
-        field = self.ring.field
-        zero = field.zero()
-        out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = field.add(out.get(e, zero), field.mul(c1, c2))
-                if s == zero:
-                    out.pop(e, None)
-                else:
-                    out[e] = s
-        return Polynomial(self.ring, out)
+        acc = add_product({}, self.terms, other.terms)
+        return Polynomial(self.ring, reduce_terms(self.ring.field, acc))
 
     __rmul__ = __mul__
 
@@ -333,6 +306,33 @@ class Polynomial:
 
     def __repr__(self):
         return "Polynomial(%s)" % format_polynomial(self)
+
+
+def add_product(acc, s, t):
+    """Add the product of term maps s and t into the term map acc.
+
+    The scalars in acc are left unreduced, zeros included; `reduce_terms`
+    turns the finished sum into the terms of a polynomial.  Returns acc.
+    """
+    for e1, c1 in s.items():
+        for e2, c2 in t.items():
+            e = tuple(map(add, e1, e2))
+            acc[e] = acc.get(e, 0) + c1 * c2
+    return acc
+
+
+def add_scaled(acc, s, c):
+    """Add c times the term map s into the term map acc, left unreduced."""
+    for e, v in s.items():
+        acc[e] = acc.get(e, 0) + v * c
+
+
+def reduce_terms(field, acc):
+    """The terms of an accumulated sum: scalars in the field, zeros dropped."""
+    p = field.p
+    if p is None:
+        return {e: c for e, c in acc.items() if c}
+    return {e: c % p for e, c in acc.items() if c % p}
 
 
 def _coerce_point(ring, point):
@@ -585,21 +585,28 @@ def mat_mul(a, b):
     """Exact matrix product; raises on shape or ring mismatch.
 
     Only pairs of stored entries are multiplied: column j of the product
-    sums column k of a times the entry (k, j) of b.
+    sums column k of a times the entry (k, j) of b, each output entry in one
+    term map that is reduced once at the end.
     """
     if a.ring != b.ring:
         raise ValueError("ring mismatch")
     if a.cols != b.rows:
         raise ValueError("shape mismatch: %dx%d times %dx%d"
                          % (a.rows, a.cols, b.rows, b.cols))
-    out = PolyMatrix.zero(a.ring, a.rows, b.cols)
+    ring = a.ring
+    out = PolyMatrix.zero(ring, a.rows, b.cols)
     for bcol, ocol in zip(b.columns, out.columns):
+        sums = {}
         for k, q in bcol.items():
             for i, p in a.columns[k].items():
-                acc = ocol.get(i)
-                ocol[i] = p * q if acc is None else acc + p * q
-        for i in [i for i, s in ocol.items() if not s.terms]:
-            del ocol[i]
+                acc = sums.get(i)
+                if acc is None:
+                    acc = sums[i] = {}
+                add_product(acc, p.terms, q.terms)
+        for i, acc in sums.items():
+            terms = reduce_terms(ring.field, acc)
+            if terms:
+                ocol[i] = Polynomial(ring, terms)
     return out
 
 

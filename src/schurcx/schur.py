@@ -9,9 +9,9 @@ column, and straightens the result.
 """
 
 from .complexes import FreeComplex, parity_split
-from .ring import PolyMatrix
-from .tableaux import (Partition, Tableau, column_product, enumerate_standard,
-                       normalize_column, _straighten_columns)
+from .ring import PolyMatrix, Polynomial, add_scaled, reduce_terms
+from .tableaux import (Partition, column_product, enumerate_standard,
+                       _straighten_columns)
 
 
 def tableau_degree(t, parity):
@@ -38,10 +38,6 @@ class SchurBasis:
         else:
             self.min_degree = 0
             self.max_degree = 0
-        self.index = {}
-        for k, tabs_k in self.by_degree.items():
-            for i, t in enumerate(tabs_k):
-                self.index[t] = (k, i)
 
     def at(self, k):
         return self.by_degree.get(k, [])
@@ -60,9 +56,9 @@ class SchurBasis:
 def _entry_differential_table(f, parity):
     """For every entry label, the terms of d on its basis vector.
 
-    Returns {label: [(polynomial, target label), ...]}; empty at the bottom
-    degree.  Targets always sit one homological degree lower, so they flip
-    parity.
+    Returns {label: [(term map of the polynomial, target label), ...]};
+    empty at the bottom degree.  Targets always sit one homological degree
+    lower, so they flip parity.
     """
     table = {}
     for label in list(range(-parity.m, 0)) + list(range(1, parity.n + 1)):
@@ -71,7 +67,7 @@ def _entry_differential_table(f, parity):
         d = f.differential_from(deg)
         if d is not None:
             for row, p in d.columns[idx].items():
-                terms.append((p, parity.label_of(deg - 1, row)))
+                terms.append((p.terms, parity.label_of(deg - 1, row)))
         table[label] = terms
     return table
 
@@ -97,40 +93,37 @@ def _replace_terms(columns, ci, pos, new_label):
     return final, c1 * c2
 
 
-def tableau_differential(t, f, _table=None, _parity=None):
-    """Image of a tableau under the Schur complex differential.
+def _differential(columns, table, parity):
+    """Image of a standard tableau, given by its columns, under d.
 
-    Returns {standard Tableau: Polynomial}.  Every entry (once per distinct
+    Returns {standard column tuple: term map}, the term maps summed but not
+    yet reduced (see `reduce_terms`).  Every entry (once per distinct
     negative value in a column, once per positive entry) is replaced by the
     terms of d on its basis vector, with the sign of the degrees of all
     earlier boxes in column order; divided powers step down a single time
     per value, which is exactly the divided-power chain rule.
     """
-    parity = _parity if _parity is not None else parity_split(f)
-    table = _table if _table is not None else _entry_differential_table(f, parity)
-    ring = f.ring
     result = {}
     prefix_degree = 0
-    for ci, col in enumerate(t.columns):
+    for ci, col in enumerate(columns):
         offset = 0
         for pos, v in enumerate(col):
             if pos > 0 and col[pos - 1] == v and v < 0:
                 offset += parity.degree_of(v)
                 continue
             sign = -1 if (prefix_degree + offset) % 2 else 1
-            for poly, label in table[v]:
-                replaced = _replace_terms(t.columns, ci, pos, label)
+            for terms, label in table[v]:
+                replaced = _replace_terms(columns, ci, pos, label)
                 if replaced is None:
                     continue
                 new_col, k = replaced
-                cols = t.columns[:ci] + (new_col,) + t.columns[ci + 1:]
+                cols = columns[:ci] + (new_col,) + columns[ci + 1:]
                 scale = sign * k
                 for std, c in _straighten_columns(cols):
-                    total = result.get(std, ring.zero()) + poly * (scale * c)
-                    if total.is_zero():
-                        result.pop(std, None)
-                    else:
-                        result[std] = total
+                    acc = result.get(std)
+                    if acc is None:
+                        acc = result[std] = {}
+                    add_scaled(acc, terms, scale * c)
             offset += parity.degree_of(v)
         prefix_degree += offset
     return result
@@ -140,9 +133,9 @@ def schur_complex(shape, f):
     """The Schur complex of a free complex, on the standard tableau basis.
 
     Term ranks count standard tableaux per total degree (gaps get rank 0)
-    and the differentials expand tableau_differential in the canonical
-    tableau order.  The shape may also be given as its SchurBasis over f,
-    already enumerated.
+    and column j of the differential from degree k is the image of the j-th
+    standard tableau of degree k, in the canonical tableau order.  The shape
+    may also be given as its SchurBasis over f, already enumerated.
     """
     basis = shape if isinstance(shape, SchurBasis) else SchurBasis(shape, f)
     ring = f.ring
@@ -156,12 +149,13 @@ def schur_complex(shape, f):
     for k in degrees[1:]:
         sources = basis.at(k)
         targets = basis.at(k - 1)
-        row_of = {t: i for i, t in enumerate(targets)}
+        row_of = {t.columns: i for i, t in enumerate(targets)}
         mat = PolyMatrix.zero(ring, len(targets), len(sources))
         for t, col in zip(sources, mat.columns):
-            image = tableau_differential(t, f, _table=table, _parity=parity)
-            for std, poly in image.items():
-                col[row_of[std]] = poly
+            for std, acc in _differential(t.columns, table, parity).items():
+                terms = reduce_terms(ring.field, acc)
+                if terms:
+                    col[row_of[std]] = Polynomial(ring, terms)
         diffs.append(mat)
     return FreeComplex(ring, basis.min_degree, ranks, diffs)
 

@@ -22,17 +22,16 @@ Sign conventions: swapping two adjacent entries multiplies by -1 unless both
 are negative (two odd letters commute; any pair involving an even letter
 anticommutes), and moving a block of s odd letters across t even letters
 costs (-1)^(s*t).  These rules make the column spaces divided powers on the
-odd part and exterior powers on the even part; `tensor_embed` realizes them
-inside the tensor algebra and is used as an independent test oracle.
+odd part and exterior powers on the even part.
+
+Inside this module a tableau is its tuple of column tuples; `Tableau`
+objects are built only where tableaux enter or leave it.
 """
 
 import itertools
-from fractions import Fraction
 from functools import lru_cache
 from math import comb
 from typing import NamedTuple
-
-from .ring import RATIONALS, SparseEchelon
 
 
 class Partition:
@@ -41,7 +40,9 @@ class Partition:
     __slots__ = ("parts",)
 
     def __init__(self, parts):
-        parts = tuple(int(p) for p in parts)
+        parts = tuple(parts)
+        if not all(isinstance(p, int) for p in parts):
+            raise ValueError("partition parts must be integers")
         if any(p <= 0 for p in parts):
             raise ValueError("partition parts must be positive")
         if any(a < b for a, b in zip(parts, parts[1:])):
@@ -86,25 +87,17 @@ class Tableau:
     __slots__ = ("columns",)
 
     def __init__(self, columns):
-        columns = tuple(tuple(int(v) for v in col) for col in columns)
+        columns = tuple(tuple(col) for col in columns)
         if not columns or any(not col for col in columns):
             raise ValueError("empty column")
         lengths = [len(c) for c in columns]
         if any(a > b for a, b in zip(lengths[1:], lengths[:-1])):
             raise ValueError("column lengths must weakly decrease")
+        if not all(isinstance(v, int) for col in columns for v in col):
+            raise ValueError("entries must be integers")
         if any(v == 0 for col in columns for v in col):
             raise ValueError("zero is not a valid entry")
         self.columns = columns
-
-    @classmethod
-    def from_rows(cls, rows):
-        rows = [list(r) for r in rows]
-        ncols = len(rows[0])
-        cols = [[] for _ in range(ncols)]
-        for row in rows:
-            for i, v in enumerate(row):
-                cols[i].append(v)
-        return cls(cols)
 
     @classmethod
     def from_entries(cls, shape, entries):
@@ -128,14 +121,6 @@ class Tableau:
     def shape(self):
         """Row lengths, as a Partition."""
         return Partition([len(c) for c in self.columns]).conjugate()
-
-    @property
-    def size(self):
-        return sum(len(c) for c in self.columns)
-
-    def entry(self, i, j):
-        """Entry in column i, row j (both 1-based)."""
-        return self.columns[i - 1][j - 1]
 
     def to_entries(self):
         out = []
@@ -229,24 +214,25 @@ class Violation(NamedTuple):
     v: int
 
 
-def find_violation(t):
+def find_violation(columns):
     """Find the first row-order violation of a column-sorted tableau.
 
-    Returns None when rows are fine (the tableau is standard).  Columns must
-    already be weakly increasing; entry parity is not checked here, so a
-    column with repeated positives is acceptable input.
+    Takes the tuple of column tuples.  Returns None when rows are fine (the
+    tableau is standard).  Columns must already be weakly increasing; entry
+    parity is not checked here, so a column with repeated positives is
+    acceptable input.
     """
-    for col in t.columns:
+    for col in columns:
         if any(a > b for a, b in zip(col, col[1:])):
             raise ValueError("column not sorted: %s" % (col,))
-    ncols = len(t.columns)
-    nrows = len(t.columns[0]) if ncols else 0
+    ncols = len(columns)
+    nrows = len(columns[0]) if ncols else 0
     for w in range(1, nrows + 1):
         for a in range(1, ncols):
-            right = t.columns[a]
+            right = columns[a]
             if w > len(right):
                 continue
-            x, y = t.columns[a - 1][w - 1], right[w - 1]
+            x, y = columns[a - 1][w - 1], right[w - 1]
             if x > y or (x == y and x < 0):
                 cb = len(right)
                 split = cb
@@ -390,17 +376,18 @@ def theta_image(v1, v2, v3, ca, cb):
     return out
 
 
-def theta_expand(t, violation):
+def theta_expand(columns, violation):
     """The relation used to remove a violation, expanded over tableaux.
 
     The middle block joins the tail of the violating column and the head of
     its right neighbour; the relation is its image under split-and-remultiply
-    and always contains t itself with coefficient +1 or -1.  Returns
-    {Tableau: integer coefficient}, keeping the untouched columns.
+    and always contains the tableau itself with coefficient +1 or -1.
+    Takes and returns column tuples: {column tuple: integer coefficient},
+    keeping the untouched columns.
     """
     a = violation.col
-    left = t.columns[a - 1]
-    right = t.columns[a]
+    left = columns[a - 1]
+    right = columns[a]
     ca, cb = len(left), len(right)
     u, v = violation.u, violation.v
     if u + v >= cb:
@@ -413,8 +400,7 @@ def theta_expand(t, violation):
     v2 = middle[0]
     out = {}
     for (col_a, col_b), coeff in theta_image(v1, v2, v3, ca, cb).items():
-        cols = t.columns[:a - 1] + (col_a, col_b) + t.columns[a + 1:]
-        key = Tableau(cols)
+        key = columns[:a - 1] + (col_a, col_b) + columns[a + 1:]
         c = out.get(key, 0) + coeff
         if c:
             out[key] = c
@@ -425,7 +411,11 @@ def theta_expand(t, violation):
 
 @lru_cache(maxsize=None)
 def _straighten_columns(columns):
-    """Straighten a column tuple; returns ((Tableau, coeff), ...)."""
+    """Straighten a column tuple; returns ((standard columns, coeff), ...).
+
+    The result is sorted by column tuple, which for one shape is the order
+    of the column reading word.
+    """
     sign = 1
     canon = []
     for col in columns:
@@ -435,7 +425,7 @@ def _straighten_columns(columns):
         canon.append(norm[0])
         sign *= norm[1]
     result = {}
-    pending = {Tableau(canon): sign}
+    pending = {tuple(canon): sign}
     while pending:
         t, coeff = pending.popitem()
         violation = find_violation(t)
@@ -458,29 +448,23 @@ def _straighten_columns(columns):
                 pending[other] = c
             else:
                 pending.pop(other, None)
-    return tuple(sorted(result.items(), key=lambda item: item[0].columns))
+    return tuple(sorted(result.items()))
 
 
 def straighten(t, m=None, n=None):
     """Rewrite a tableau as a combination of standard tableaux.
 
-    Returns {standard Tableau: integer coefficient}; the empty map when the
-    tableau is zero (some column repeats a positive entry).  When m and n
-    are given the entries are range-checked first.
+    Returns {standard Tableau: integer coefficient} in the order of the
+    column reading word; the empty map when the tableau is zero (some column
+    repeats a positive entry).  When m and n are given the entries are
+    range-checked first.
     """
     if m is not None or n is not None:
         check_entry_range(t, m or 0, n or 0)
-    return dict(_straighten_columns(t.columns))
+    return {Tableau(cols): c for cols, c in _straighten_columns(t.columns)}
 
 
 # -- enumeration -------------------------------------------------------------
-
-def tableau_sort_key(t, entry_degree=None):
-    """Canonical order: ascending total degree, then the column reading word."""
-    if entry_degree is None:
-        return (0, t.reading_word())
-    return (sum(entry_degree(v) for v in t.reading_word()), t.reading_word())
-
 
 def enumerate_standard(shape, m, n, entry_degree=None, degree=None):
     """All standard tableaux of the shape with entries in {-m..-1, 1..n}.
@@ -500,7 +484,7 @@ def enumerate_standard(shape, m, n, entry_degree=None, degree=None):
 
     def fill(ci, ri):
         if ci == len(lengths):
-            found.append(Tableau([tuple(c) for c in cols]))
+            found.append(tuple(tuple(c) for c in cols))
             return
         nci, nri = (ci, ri + 1) if ri + 1 < lengths[ci] else (ci + 1, 0)
         for v in values:
@@ -517,246 +501,13 @@ def enumerate_standard(shape, m, n, entry_degree=None, degree=None):
         cols[ci][ri] = None
 
     fill(0, 0)
-    found.sort(key=lambda t: tableau_sort_key(t, entry_degree))
-    if degree is not None:
-        if entry_degree is None:
+    # for one shape, column tuple order is the order of the reading word
+    if entry_degree is None:
+        if degree is not None:
             raise ValueError("degree filter needs an entry_degree map")
-        found = [t for t in found
-                 if sum(entry_degree(v) for v in t.reading_word()) == degree]
-    return found
-
-
-def column_basis(length, m, n):
-    """All canonical columns of a length, sorted; divided entries may repeat."""
-    out = []
-    for k in range(length + 1):
-        for negs in itertools.combinations_with_replacement(range(-m, 0), k):
-            for poss in itertools.combinations(range(1, n + 1), length - k):
-                out.append(tuple(negs) + tuple(poss))
-    out.sort()
-    return out
-
-
-# -- tensor algebra oracle ---------------------------------------------------
-
-def _pair_sign(x, y):
-    """Sign for transposing adjacent letters: odd pairs commute."""
-    return 1 if (x < 0 and y < 0) else -1
-
-
-def tensor_embed(x):
-    """Expand a canonical column or tableau in tensor coordinates.
-
-    Returns {tuple of entry labels: integer coefficient}.  A column becomes
-    the sum over interleavings of its divided word with each signed
-    permutation of its exterior word; a tableau is the product of its
-    columns, concatenating words.
-    """
-    if isinstance(x, Tableau):
-        total = {(): 1}
-        for col in x.columns:
-            piece = tensor_embed(col)
-            nxt = {}
-            for w1, c1 in total.items():
-                for w2, c2 in piece.items():
-                    nxt[w1 + w2] = nxt.get(w1 + w2, 0) + c1 * c2
-            total = nxt
-        return total
-    col = tuple(x)
-    negs = [v for v in col if v < 0]
-    poss = [v for v in col if v > 0]
-    r = len(col)
-    out = {}
-    # divided block: unsigned shuffle of repeated letters, so every distinct
-    # rearrangement of the negative multiset appears once
-    for word_neg in set(itertools.permutations(negs)):
-        for perm in itertools.permutations(range(len(poss))):
-            psign = 1
-            for i in range(len(perm)):
-                for j in range(i + 1, len(perm)):
-                    if perm[i] > perm[j]:
-                        psign = -psign
-            word_pos = [poss[i] for i in perm]
-            for slots in itertools.combinations(range(r), len(negs)):
-                word = [None] * r
-                chosen = set(slots)
-                ni = iter(word_neg)
-                pi = iter(word_pos)
-                for k in range(r):
-                    word[k] = next(ni) if k in chosen else next(pi)
-                crossings = 0
-                for k, s in enumerate(slots):
-                    crossings += sum(1 for t in range(s) if t not in chosen)
-                sign = psign * (-1 if crossings % 2 else 1)
-                key = tuple(word)
-                c = out.get(key, 0) + sign
-                if c:
-                    out[key] = c
-                else:
-                    out.pop(key, None)
-    return out
-
-
-def shuffle_mul(u, v):
-    """Shuffle product on tensor coordinates with the letter sign rule."""
-    out = {}
-    for w1, c1 in u.items():
-        for w2, c2 in v.items():
-            p, q = len(w1), len(w2)
-            for slots in itertools.combinations(range(p + q), p):
-                chosen = set(slots)
-                word = [None] * (p + q)
-                i1 = iter(w1)
-                i2 = iter(w2)
-                for k in range(p + q):
-                    word[k] = next(i1) if k in chosen else next(i2)
-                # sign: one factor per crossed pair, i.e. per letter of w2
-                # that ends up before a letter of w1
-                sign = 1
-                for a, s in enumerate(slots):
-                    for t in range(s):
-                        if t not in chosen:
-                            sign *= _pair_sign(w1[a], word[t])
-                key = tuple(word)
-                c = out.get(key, 0) + c1 * c2 * sign
-                if c:
-                    out[key] = c
-                else:
-                    out.pop(key, None)
-    return out
-
-
-def deconcatenate(u, p):
-    """Split every tensor word after the first p letters."""
-    out = {}
-    for w, c in u.items():
-        key = (w[:p], w[p:])
-        s = out.get(key, 0) + c
-        if s:
-            out[key] = s
-        else:
-            out.pop(key, None)
-    return out
-
-
-# -- relation span oracle ----------------------------------------------------
-
-@lru_cache(maxsize=None)
-def _theta_pair_rows(ca, cb, m, n):
-    """Independent relation rows between one adjacent column pair.
-
-    Rows are sparse vectors over pairs (left column, right column), one per
-    relation generator that is independent of the ones before it.
-    """
-    ech = SparseEchelon(RATIONALS)
-    rows = []
-    for u in range(ca + 1):
-        for v in range(cb - u):
-            basis_u = column_basis(u, m, n)
-            basis_mid = column_basis(ca - u + cb - v, m, n)
-            basis_v = column_basis(v, m, n)
-            for v1 in basis_u:
-                for v3 in basis_v:
-                    for v2 in basis_mid:
-                        image = theta_image(v1, v2, v3, ca, cb)
-                        if ech.insert(image):
-                            rows.append(tuple(sorted(image.items())))
-    return tuple(rows)
-
-
-class RelationSpan:
-    """Echelon basis of the quadratic relation span for one shape and range.
-
-    Coordinates run over tuples of canonical columns of the shape's column
-    lengths ('all fillings with sorted columns').  The quotient by this span
-    is the Schur space, whose dimension must match the standard tableau count.
-    """
-
-    def __init__(self, shape, m, n):
-        if not isinstance(shape, Partition):
-            shape = Partition(shape)
-        self.shape = shape
-        self.m = m
-        self.n = n
-        lengths = shape.column_lengths()
-        self.lengths = lengths
-        self.bases = [column_basis(c, m, n) for c in lengths]
-        self.index = {}
-        for i, combo in enumerate(itertools.product(*self.bases)):
-            self.index[combo] = i
-        self.dimension = len(self.index)
-        self.echelon = SparseEchelon(RATIONALS)
-        self._build()
-
-    def _build(self):
-        lengths = self.lengths
-        t = len(lengths)
-        for a in range(t - 1):
-            pair_rows = _theta_pair_rows(lengths[a], lengths[a + 1], self.m, self.n)
-            if not pair_rows:
-                continue
-            sides = [self.bases[k] for k in range(t) if k not in (a, a + 1)]
-            for bystander in itertools.product(*sides):
-                pre = bystander[:a]
-                post = bystander[a:]
-                for row in pair_rows:
-                    vec = {}
-                    for (col_a, col_b), coeff in row:
-                        combo = pre + (col_a, col_b) + post
-                        vec[self.index[combo]] = coeff
-                    self.echelon.insert(vec)
-
-    @property
-    def rank(self):
-        return self.echelon.rank
-
-    @property
-    def quotient_dimension(self):
-        return self.dimension - self.rank
-
-    def vector_of(self, combination):
-        """Coordinates of {Tableau: coefficient} over the spanning fillings.
-
-        Columns are normalized first; coefficients become Fractions.
-        """
-        vec = {}
-        for t, coeff in combination.items():
-            sign = 1
-            cols = []
-            for col in t.columns:
-                norm = normalize_column(col)
-                if norm is None:
-                    break
-                cols.append(norm[0])
-                sign *= norm[1]
-            else:
-                idx = self.index[tuple(cols)]
-                vec[idx] = vec.get(idx, 0) + Fraction(coeff) * sign
-        return vec
-
-    def contains(self, combination):
-        return self.echelon.contains(self.vector_of(combination))
-
-
-def relation_membership(combination, m=None, n=None):
-    """True when a tableau combination lies in the quadratic relation span.
-
-    All tableaux must share one shape.  The entry range defaults to the
-    smallest range covering the entries.  Guarded to small shapes: the
-    spanning set is exponential in the number of boxes.
-    """
-    if not combination:
-        return True
-    shapes = {t.shape for t in combination}
-    if len(shapes) > 1:
-        raise ValueError("mixed shapes in combination")
-    shape = shapes.pop()
-    if shape.size > 8:
-        raise ValueError("size guard: shapes above 8 boxes are not supported")
-    entries = [v for t in combination for v in t.reading_word()]
-    if m is None:
-        m = max((-v for v in entries if v < 0), default=0)
-    if n is None:
-        n = max((v for v in entries if v > 0), default=0)
-    span = RelationSpan(shape, m, n)
-    return span.contains(combination)
+        found.sort()
+    else:
+        keyed = sorted((sum(entry_degree(v) for col in cols for v in col), cols)
+                       for cols in found)
+        found = [cols for deg, cols in keyed if degree is None or deg == degree]
+    return [Tableau(cols) for cols in found]

@@ -7,8 +7,9 @@ import time
 import pytest
 
 from conftest import generic_matrix_complex
-from schurcx import (RATIONALS, GF, PolyRing, Tableau, complex_from_dict,
-                     koszul_complex, save_complex, schur_complex)
+from schurcx import (RATIONALS, GF, PolyRing, Tableau, koszul_complex,
+                     save_complex, schur_complex)
+from schurcx.complexes import complex_from_dict
 from schurcx.cli import main
 
 
@@ -256,6 +257,47 @@ def test_entry_outside_diagram_is_invalid(tmp_path, capsys):
     path.write_text(json.dumps({"shape": [1], "entries": [[2, 1, 1]]}))
     assert main(["straighten", "--tableau", path.as_posix()]) == 3
     assert "invalid tableau" in capsys.readouterr().err
+
+
+def test_extra_differential_is_invalid(tmp_path, capsys, koszul_file):
+    data = {
+        "ring": {"coefficients": "QQ", "variables": ["x"]},
+        "min_degree": 0,
+        "ranks": [1],
+        "differentials": [[["x"]]],
+    }
+    path = tmp_path / "extra.json"
+    path.write_text(json.dumps(data))
+    for argv in (["verify"], ["ranks"], ["homology", "--point", "1"],
+                 ["schur", "--shape", "1"]):
+        assert main(argv[:1] + ["--complex", str(path)] + argv[1:]) == 3
+        assert "expected 0 differentials, got 1" in capsys.readouterr().err
+
+
+def test_fractional_tableau_entry_is_invalid(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"shape": [2, 1],
+                                "entries": [[1, 1, 1.5], [1, 2, 2], [2, 1, 3]]}))
+    assert main(["straighten", "--tableau", str(path)]) == 3
+    assert "invalid tableau" in capsys.readouterr().err
+
+
+def test_fractional_shape_part_is_invalid(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"shape": [2.7, 1],
+                                "entries": [[1, 1, 1], [1, 2, 2], [2, 1, 3]]}))
+    assert main(["straighten", "--tableau", str(path)]) == 3
+    assert "invalid tableau" in capsys.readouterr().err
+
+
+def test_fractional_min_degree_is_invalid(tmp_path, capsys, koszul_file):
+    with open(koszul_file) as fh:
+        data = json.load(fh)
+    data["min_degree"] = 0.5
+    path = tmp_path / "half.json"
+    path.write_text(json.dumps(data))
+    assert main(["verify", "--complex", str(path)]) == 3
+    assert "min_degree" in capsys.readouterr().err
 
 
 def test_nonsquaring_input_complex_is_invalid(tmp_path, capsys):

@@ -7,9 +7,10 @@ import pytest
 
 from conftest import random_three_term
 from schurcx import (GF, RATIONALS, FreeComplex, PolyMatrix, PolyRing,
-                     complex_from_dict, complex_to_dict,
-                     homology_ranks_at_point, koszul_complex, load_complex,
-                     parity_split, save_complex, validate_complex)
+                     homology_ranks_at_point, koszul_complex, save_complex,
+                     validate_complex)
+from schurcx.complexes import (complex_from_dict, complex_to_dict,
+                               load_complex, parity_split)
 
 
 @pytest.fixture

@@ -6,9 +6,10 @@ from fractions import Fraction
 
 import pytest
 
-from schurcx import (GF, RATIONALS, PolyMatrix, PolyRing, format_polynomial,
-                     is_prime, mat_generic_rank, mat_mul, mat_rank_at_point,
-                     mat_rank_exact, parse_polynomial, scalar_rank)
+from schurcx import (GF, RATIONALS, PolyMatrix, PolyRing, mat_generic_rank,
+                     mat_rank_exact)
+from schurcx.ring import (format_polynomial, is_prime, mat_mul,
+                          mat_rank_at_point, parse_polynomial, scalar_rank)
 
 
 @pytest.fixture
@@ -313,6 +314,30 @@ def test_matrix_stores_only_nonzeros(qq_xy):
     assert c.is_zero() and c.columns == [{}]
     assert all(p.terms for m in (a, b, mat_mul(a, b)) for col in m.columns
                for p in col.values())
+
+
+def test_products_reduce_mod_p_and_drop_zeros():
+    ring = PolyRing(GF(3), ("x",))
+    x = ring.variable("x")
+    a = PolyMatrix(ring, [[x, 2 * x], [2 * x, 2 * x]])
+    c = mat_mul(a, PolyMatrix(ring, [[ring.one()], [ring.one()]]))
+    # row 0 sums to 3x, zero only mod 3; row 1 sums to 4x = x
+    assert c.columns == [{1: x}]
+    assert all(0 <= s < 3 for col in c.columns for p in col.values()
+               for s in p.terms.values())
+    # (x + 1)(x + 2) = x^2 + 3x + 2
+    assert ((x + 1) * (x + 2)).terms == {(2,): 1, (0,): 2}
+
+
+def test_products_drop_cancelled_fractions():
+    ring = PolyRing(RATIONALS, ("x",))
+    x = ring.variable("x")
+    a = PolyMatrix(ring, [[x * Fraction(1, 2), x * Fraction(1, 3)]])
+    b = PolyMatrix(ring, [[ring.constant(Fraction(2, 3))], [ring.constant(-1)]])
+    c = mat_mul(a, b)
+    assert c.columns == [{}] and c.is_zero()
+    p = (x + Fraction(1, 2)) * (x - Fraction(1, 2))
+    assert p.terms == {(2,): 1, (0,): Fraction(-1, 4)}
 
 
 def test_matrix_round_trips():
