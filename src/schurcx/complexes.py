@@ -14,11 +14,11 @@ from .ring import (CoefficientField, PolyRing, PolyMatrix, RATIONALS, mat_mul,
 
 def _check_terms(min_degree, ranks, count):
     """Raise unless the degrees and ranks fit a complex with count maps."""
-    if not isinstance(min_degree, int):
+    if type(min_degree) is not int:  # not float, not bool
         raise ValueError("min_degree must be an integer, got %r" % (min_degree,))
     if not ranks:
         raise ValueError("a complex needs at least one term")
-    if not all(isinstance(r, int) for r in ranks):
+    if not all(type(r) is int for r in ranks):
         raise ValueError("ranks must be integers, got %r" % (list(ranks),))
     if any(r < 0 for r in ranks):
         raise ValueError("negative rank")
@@ -226,8 +226,8 @@ def complex_from_dict(data):
     for i, rows in enumerate(data["differentials"]):
         if len(rows) != ranks[i] or any(len(r) != ranks[i + 1] for r in rows):
             raise ValueError("differential %d has wrong shape" % (i + 1,))
-        parsed = [[ring.parse(s) for s in row] for row in rows]
-        diffs.append(PolyMatrix(ring, parsed, shape=(ranks[i], ranks[i + 1])))
+        diffs.append(PolyMatrix.from_strings(ring, rows,
+                                             shape=(ranks[i], ranks[i + 1])))
     return FreeComplex(ring, data["min_degree"], ranks, diffs)
 
 

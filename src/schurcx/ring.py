@@ -15,6 +15,7 @@ from fractions import Fraction
 import heapq
 from operator import add
 import random
+import re
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -348,93 +349,45 @@ def _coerce_point(ring, point):
 # term   := atom { '*' atom }
 # atom   := INT [ '/' INT ] | NAME [ '^' INT ]
 #
-# Whitespace is insignificant.  format_polynomial always emits parseable text
-# and parse/format round-trip exactly.
+# Whitespace may stand around any symbol.  format_polynomial always
+# emits parseable text and parse/format round-trip exactly.
 
-def _tokenize(text):
-    tokens = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-        elif ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append(("int", text[i:j]))
-            i = j
-        elif ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(("name", text[i:j]))
-            i = j
-        elif ch in "+-*/^":
-            tokens.append((ch, ch))
-            i += 1
-        else:
-            raise ValueError("unexpected character %r in polynomial" % ch)
-    return tokens
+# _TERM matches one term with its sign and the whitespace around it; _FACTOR
+# then picks the atoms out of the matched term.  A NAME is a word that does
+# not start with a digit.
+_ATOM = r"(?:\d+(?:\s*/\s*\d+)?|[^\W\d]\w*(?:\s*\^\s*\d+)?)"
+_TERM = re.compile(r"\s*(?:([+-])\s*)?(%s(?:\s*\*\s*%s)*)\s*" % (_ATOM, _ATOM))
+_FACTOR = re.compile(r"(\d+)(?:\s*/\s*(\d+))?|(\w+)(?:\s*\^\s*(\d+))?")
 
 
 def parse_polynomial(ring, text):
-    """Parse polynomial text in the ring's variables."""
-    tokens = _tokenize(text)
+    """Parse polynomial text in the ring's variables.
+
+    Each term becomes one (exponents, scalar) pair: exponents add up, and
+    each coefficient atom is taken into the field on its own, so over GF(p)
+    a denominator divisible by p is rejected wherever it stands.
+    """
+    field, variables = ring.field, ring.variables
+    acc = {}
     pos = 0
-
-    def peek():
-        return tokens[pos][0] if pos < len(tokens) else None
-
-    def take(kind):
-        nonlocal pos
-        if peek() != kind:
-            raise ValueError("expected %s at token %d of %r" % (kind, pos, text))
-        tok = tokens[pos]
-        pos += 1
-        return tok[1]
-
-    def parse_atom():
-        nonlocal pos
-        if peek() == "int":
-            num = int(take("int"))
-            if peek() == "/":
-                take("/")
-                den = int(take("int"))
-                return ring.constant(ring.field.from_quotient(num, den))
-            return ring.constant(num)
-        if peek() == "name":
-            name = take("name")
-            if name not in ring.variables:
-                raise ValueError("unknown variable %r" % name)
-            power = 1
-            if peek() == "^":
-                take("^")
-                power = int(take("int"))
-            exps = [0] * ring.nvars
-            exps[ring.variables.index(name)] = power
-            return Polynomial(ring, {tuple(exps): ring.field.one()})
-        raise ValueError("expected a coefficient or variable in %r" % text)
-
-    def parse_term():
-        p = parse_atom()
-        while peek() == "*":
-            take("*")
-            p = p * parse_atom()
-        return p
-
-    if not tokens:
-        raise ValueError("empty polynomial text")
-    sign = 1
-    if peek() in ("+", "-"):
-        sign = -1 if take(peek()) == "-" else 1
-    result = parse_term() * sign
-    while peek() in ("+", "-"):
-        sign = -1 if take(peek()) == "-" else 1
-        result = result + parse_term() * sign
-    if pos != len(tokens):
-        raise ValueError("trailing tokens in %r" % text)
-    return result
+    while True:
+        m = _TERM.match(text, pos)
+        if m is None or (pos and not m.group(1)):
+            raise ValueError("malformed polynomial %r" % (text,))
+        c, exps = field.one(), [0] * ring.nvars
+        for num, den, name, power in _FACTOR.findall(m.group(2)):
+            if not name:
+                c *= (field.from_quotient(int(num), int(den)) if den
+                      else field.coerce(int(num)))
+            elif name in variables:
+                exps[variables.index(name)] += int(power) if power else 1
+            else:
+                raise ValueError("unknown variable %r" % (name,))
+        e = tuple(exps)
+        acc[e] = acc.get(e, 0) + (-c if m.group(1) == "-" else c)
+        pos = m.end()
+        if pos == len(text):
+            return Polynomial(ring, reduce_terms(field, acc))
 
 
 def _format_monomial(ring, exps):
@@ -478,6 +431,19 @@ def format_polynomial(p):
 
 # -- matrices ----------------------------------------------------------------
 
+def _shape(rows, shape):
+    """(rows, cols) of a list of rows; shape keeps the column count of 0 rows."""
+    nrows = len(rows)
+    ncols = len(rows[0]) if nrows else 0
+    if shape is not None:
+        if nrows != shape[0] or (nrows and ncols != shape[1]):
+            raise ValueError("entries do not match shape %r" % (shape,))
+        nrows, ncols = shape
+    if any(len(row) != ncols for row in rows):
+        raise ValueError("ragged matrix")
+    return nrows, ncols
+
+
 class PolyMatrix:
     """Sparse matrix of polynomials from one ring.
 
@@ -490,25 +456,15 @@ class PolyMatrix:
 
     def __init__(self, ring, entries, shape=None):
         entries = [list(row) for row in entries]
-        rows = len(entries)
-        cols = len(entries[0]) if rows else 0
-        if shape is not None:
-            if rows != shape[0] or (rows and cols != shape[1]):
-                raise ValueError("entries do not match shape %r" % (shape,))
-            rows, cols = shape  # keep column count of an empty matrix
-        columns = [{} for _ in range(cols)]
+        self.ring = ring
+        self.rows, self.cols = _shape(entries, shape)
+        self.columns = [{} for _ in range(self.cols)]
         for i, row in enumerate(entries):
-            if len(row) != cols:
-                raise ValueError("ragged matrix")
-            for col, p in zip(columns, row):
+            for col, p in zip(self.columns, row):
                 if not isinstance(p, Polynomial) or p.ring != ring:
                     raise ValueError("entry from wrong ring")
                 if p.terms:
                     col[i] = p
-        self.ring = ring
-        self.rows = rows
-        self.cols = cols
-        self.columns = columns
 
     @classmethod
     def zero(cls, ring, rows, cols):
@@ -525,8 +481,16 @@ class PolyMatrix:
         return m
 
     @classmethod
-    def from_strings(cls, ring, rows):
-        return cls(ring, [[ring.parse(s) for s in row] for row in rows])
+    def from_strings(cls, ring, rows, shape=None):
+        """Parse rows of polynomial text, storing only the nonzero entries."""
+        rows = list(rows)
+        m = cls.zero(ring, *_shape(rows, shape))
+        for i, row in enumerate(rows):
+            for col, text in zip(m.columns, row):
+                p = parse_polynomial(ring, text)
+                if p.terms:
+                    col[i] = p
+        return m
 
     def _dense(self, zero, value):
         """Dense rows holding value(p) at each stored entry p, zero elsewhere."""

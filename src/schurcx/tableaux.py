@@ -41,7 +41,7 @@ class Partition:
 
     def __init__(self, parts):
         parts = tuple(parts)
-        if not all(isinstance(p, int) for p in parts):
+        if not all(type(p) is int for p in parts):  # not float, not bool
             raise ValueError("partition parts must be integers")
         if any(p <= 0 for p in parts):
             raise ValueError("partition parts must be positive")
@@ -93,7 +93,7 @@ class Tableau:
         lengths = [len(c) for c in columns]
         if any(a > b for a, b in zip(lengths[1:], lengths[:-1])):
             raise ValueError("column lengths must weakly decrease")
-        if not all(isinstance(v, int) for col in columns for v in col):
+        if not all(type(v) is int for col in columns for v in col):
             raise ValueError("entries must be integers")
         if any(v == 0 for col in columns for v in col):
             raise ValueError("zero is not a valid entry")
@@ -107,6 +107,9 @@ class Tableau:
         lengths = shape.column_lengths()
         cols = [[None] * c for c in lengths]
         for i, j, v in entries:
+            if type(i) is not int or type(j) is not int:
+                raise ValueError("box position %r, %r is not a pair of integers"
+                                 % (i, j))
             if not (1 <= i <= len(lengths)) or not (1 <= j <= lengths[i - 1]):
                 raise ValueError("entry outside the diagram at (%d, %d)" % (i, j))
             if cols[i - 1][j - 1] is not None:

@@ -280,29 +280,71 @@ def test_extra_differential_is_invalid(tmp_path, capsys, koszul_file):
 
 
 def test_fractional_tableau_entry_is_invalid(tmp_path, capsys):
-    path = tmp_path / "bad.json"
-    path.write_text(json.dumps({"shape": [2, 1],
-                                "entries": [[1, 1, 1.5], [1, 2, 2], [2, 1, 3]]}))
-    assert main(["straighten", "--tableau", str(path)]) == 3
-    assert "invalid tableau" in capsys.readouterr().err
+    # a float or bool value, or a float box position
+    for entries in ([[1, 1, 1.5], [1, 2, 2], [2, 1, 3]],
+                    [[1, 1, True], [1, 2, 2], [2, 1, 3]],
+                    [[1.0, 1, 1], [1, 2, 2], [2, 1, 3]]):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"shape": [2, 1], "entries": entries}))
+        assert main(["straighten", "--tableau", str(path)]) == 3, entries
+        assert "invalid tableau" in capsys.readouterr().err
 
 
 def test_fractional_shape_part_is_invalid(tmp_path, capsys):
-    path = tmp_path / "bad.json"
-    path.write_text(json.dumps({"shape": [2.7, 1],
-                                "entries": [[1, 1, 1], [1, 2, 2], [2, 1, 3]]}))
-    assert main(["straighten", "--tableau", str(path)]) == 3
-    assert "invalid tableau" in capsys.readouterr().err
+    for data in ({"shape": [2.7, 1], "entries": [[1, 1, 1], [1, 2, 2], [2, 1, 3]]},
+                 {"shape": [True], "entries": [[1, 1, 1]]}):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        assert main(["straighten", "--tableau", str(path)]) == 3, data
+        assert "invalid tableau" in capsys.readouterr().err
 
 
 def test_fractional_min_degree_is_invalid(tmp_path, capsys, koszul_file):
-    with open(koszul_file) as fh:
-        data = json.load(fh)
-    data["min_degree"] = 0.5
-    path = tmp_path / "half.json"
+    for key, value in (("min_degree", 0.5), ("min_degree", True),
+                       ("ranks", [True, 2, 1])):
+        with open(koszul_file) as fh:
+            data = json.load(fh)
+        data[key] = value
+        path = tmp_path / "half.json"
+        path.write_text(json.dumps(data))
+        assert main(["verify", "--complex", str(path)]) == 3, (key, value)
+        assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("entry, code", [
+    (5, 2), (None, 2), ([], 2), ([5], 2),
+    ("x +", 3), ("x^", 3), ("1/0", 3), ("w", 3),
+])
+def test_verify_reads_entries(tmp_path, capsys, entry, code):
+    data = {
+        "ring": {"coefficients": "QQ", "variables": ["x"]},
+        "min_degree": 0,
+        "ranks": [1, 1],
+        "differentials": [[[entry]]],
+    }
+    path = tmp_path / "entry.json"
     path.write_text(json.dumps(data))
-    assert main(["verify", "--complex", str(path)]) == 3
-    assert "min_degree" in capsys.readouterr().err
+    assert main(["verify", "--complex", str(path)]) == code
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("ranks, differential, h", [
+    ([0, 2], [], ["h_0 = 0", "h_1 = 2"]),
+    ([2, 0], [[], []], ["h_0 = 2", "h_1 = 0"]),
+])
+def test_ranks_reads_zero_rank_terms(tmp_path, capsys, ranks, differential, h):
+    data = {
+        "ring": {"coefficients": "QQ", "variables": ["x"]},
+        "min_degree": 0,
+        "ranks": ranks,
+        "differentials": [differential],
+    }
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps(data))
+    assert main(["verify", "--complex", str(path)]) == 0
+    assert main(["ranks", "--complex", str(path)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "ok", "degrees 0..1, ranks %d %d" % tuple(ranks), "rank d_1 = 0"] + h
 
 
 def test_nonsquaring_input_complex_is_invalid(tmp_path, capsys):

@@ -115,10 +115,30 @@ def test_parse_whitespace(qq_xy):
     assert qq_xy.parse(" x +  2* y ") == qq_xy.parse("x+2*y")
 
 
+def test_parse_non_canonical_text():
+    for field in (RATIONALS, GF(3)):
+        ring = PolyRing(field, ("x", "y"))
+        x, y = ring.gens()
+        cases = {
+            "2*3*x": 6 * x,
+            "x*x^2*y": x ** 3 * y,
+            "1/2*2*x": Fraction(1, 2) * 2 * x,
+            "x^0": ring.one(),
+            " x+x ": x + x,
+            "0*x + y": 0 * x + y,
+            "+x - 2": x - 2,
+        }
+        for text, value in cases.items():
+            assert ring.parse(text) == value, (field, text)
+
+
 def test_parse_rejects_garbage(qq_xy):
-    for bad in ("x +", "2**x", "w", "x^-1", "1/0"):
+    for bad in ("x +", "2**x", "w", "x^-1", "1/0", "", "  ", "x^", "*x", "x y",
+                "2 x", "1/", "/2", "+", "- -x", "x^2^3"):
         with pytest.raises(ValueError):
             qq_xy.parse(bad)
+    with pytest.raises(ValueError):  # 1/3 is not in GF(3), even times 3
+        PolyRing(GF(3), ("x",)).parse("3*1/3")
 
 
 def test_is_prime():
