@@ -10,7 +10,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .complexes import (complex_from_dict, complex_to_dict,
+from .complexes import (complex_from_dict, complex_to_dict, homology_from_ranks,
                         homology_ranks_at_point, validate_complex)
 from .ring import mat_generic_rank
 from .schur import SchurBasis, schur_complex
@@ -135,14 +135,12 @@ def cmd_ranks(args):
     f = _load_complex(args.complex)
     print("degrees %d..%d, ranks %s" % (
         f.min_degree, f.max_degree, " ".join(str(r) for r in f.ranks)))
-    d_rank = {}
+    d_ranks = []
     for i, d in enumerate(f.differentials):
-        k = f.min_degree + i + 1
         r = mat_generic_rank(d, trials=args.trials, seed=args.seed)
-        d_rank[k] = r
-        print("rank d_%d = %d" % (k, r))
-    for k in f.degrees():
-        h = f.rank_at(k) - d_rank.get(k, 0) - d_rank.get(k + 1, 0)
+        d_ranks.append(r)
+        print("rank d_%d = %d" % (f.min_degree + i + 1, r))
+    for k, h in zip(f.degrees(), homology_from_ranks(f, d_ranks)):
         print("h_%d = %d" % (k, h))
     return OK
 

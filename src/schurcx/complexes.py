@@ -72,54 +72,6 @@ class FreeComplex:
             self.min_degree, self.max_degree, list(self.ranks))
 
 
-class ParityBasis:
-    """Basis bookkeeping for the odd/even split of a complex.
-
-    Basis vectors of odd homological degree are labeled -m..-1 and the even
-    ones 1..n, ascending label order matching ascending (degree, index)
-    order within each parity.  That way single-box tableaux in canonical
-    order list the original basis vectors in their original order.
-    """
-
-    def __init__(self, odd, even):
-        self.odd = tuple(odd)        # (degree, index) pairs, degree odd
-        self.even = tuple(even)
-        self.m = len(self.odd)
-        self.n = len(self.even)
-        self._by_position = {}
-        for i, pos in enumerate(self.odd):
-            self._by_position[pos] = i - self.m
-        for j, pos in enumerate(self.even):
-            self._by_position[pos] = j + 1
-
-    def info(self, label):
-        """(degree, index within degree) of an entry label."""
-        if label < 0:
-            return self.odd[label + self.m]
-        if label > 0:
-            return self.even[label - 1]
-        raise ValueError("zero is not a valid entry")
-
-    def degree_of(self, label):
-        return self.info(label)[0]
-
-    def label_of(self, degree, index):
-        return self._by_position[(degree, index)]
-
-    def __repr__(self):
-        return "ParityBasis(m=%d, n=%d)" % (self.m, self.n)
-
-
-def parity_split(f):
-    """Split the terms of a complex into odd and even basis lists."""
-    odd, even = [], []
-    for k in f.degrees():
-        target = odd if k % 2 else even
-        for i in range(f.rank_at(k)):
-            target.append((k, i))
-    return ParityBasis(odd, even)
-
-
 def validate_complex(f):
     """Return a list of violations; empty means the complex is valid.
 
@@ -177,18 +129,21 @@ def koszul_complex(elements):
     return FreeComplex(ring, 0, [len(lvl) for lvl in levels], diffs)
 
 
+def homology_from_ranks(f, d_ranks):
+    """rank F_k - rank d_k - rank d_(k+1) for each degree k, low degree first.
+
+    d_ranks lists the ranks of the differentials of f in their order.
+    """
+    d_rank = dict(zip(range(f.min_degree + 1, f.max_degree + 1), d_ranks))
+    return [f.rank_at(k) - d_rank.get(k, 0) - d_rank.get(k + 1, 0)
+            for k in f.degrees()]
+
+
 def homology_ranks_at_point(f, point):
     """Homology ranks of the complex specialized at a point, low degree first."""
     field = f.ring.field
-    d_rank = {}
-    for i, d in enumerate(f.differentials):
-        k = f.min_degree + i + 1
-        d_rank[k] = scalar_rank(field, d.evaluate(point)) if d.rows and d.cols else 0
-    out = []
-    for k in f.degrees():
-        h = f.rank_at(k) - d_rank.get(k, 0) - d_rank.get(k + 1, 0)
-        out.append(h)
-    return out
+    return homology_from_ranks(
+        f, [scalar_rank(field, d.evaluate(point)) for d in f.differentials])
 
 
 # -- files -------------------------------------------------------------------

@@ -18,6 +18,7 @@ import random
 import re
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_NAME = r"[^\W\d]\w*"  # a variable name: a word that does not start with a digit
 
 
 def is_prime(n):
@@ -130,7 +131,7 @@ class PolyRing:
         if len(set(variables)) != len(variables):
             raise ValueError("duplicate variable names")
         for name in variables:
-            if not name or not (name[0].isalpha() or name[0] == "_"):
+            if not re.fullmatch(_NAME, name):
                 raise ValueError("bad variable name %r" % (name,))
         self.field = field
         self.variables = variables
@@ -353,9 +354,8 @@ def _coerce_point(ring, point):
 # emits parseable text and parse/format round-trip exactly.
 
 # _TERM matches one term with its sign and the whitespace around it; _FACTOR
-# then picks the atoms out of the matched term.  A NAME is a word that does
-# not start with a digit.
-_ATOM = r"(?:\d+(?:\s*/\s*\d+)?|[^\W\d]\w*(?:\s*\^\s*\d+)?)"
+# then picks the atoms out of the matched term.
+_ATOM = r"(?:\d+(?:\s*/\s*\d+)?|%s(?:\s*\^\s*\d+)?)" % _NAME
 _TERM = re.compile(r"\s*(?:([+-])\s*)?(%s(?:\s*\*\s*%s)*)\s*" % (_ATOM, _ATOM))
 _FACTOR = re.compile(r"(\d+)(?:\s*/\s*(\d+))?|(\w+)(?:\s*\^\s*(\d+))?")
 

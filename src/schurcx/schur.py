@@ -3,41 +3,48 @@
 For a shape lambda and a complex F, the terms of the Schur complex are
 spanned by the standard tableaux with entries labeling the odd and even
 basis vectors of F, graded by the total homological degree of the entries.
+`SchurBasis` fixes that labeling and grading: the odd basis vectors are
+-m..-1 and the even ones 1..n, each run in ascending (degree, index) order.
 The differential replaces one entry at a time by the image of its basis
-vector under the differential of F, multiplies the new letter back into the
-column, and straightens the result.
+vector under the differential of F, sorts the new letter into the column,
+and straightens the result.
 """
 
-from .complexes import FreeComplex, parity_split
+from .complexes import FreeComplex
 from .ring import PolyMatrix, Polynomial, add_scaled, reduce_terms
-from .tableaux import (Partition, column_product, enumerate_standard,
+from .tableaux import (Partition, enumerate_standard, normalize_column,
                        _straighten_columns)
 
 
-def tableau_degree(t, parity):
-    """Total homological degree of a tableau's entries."""
-    return sum(parity.degree_of(v) for col in t.columns for v in col)
-
-
 class SchurBasis:
-    """Standard tableaux of one shape over a complex, grouped by degree."""
+    """Standard tableaux of one shape over a complex, grouped by degree.
+
+    `position` maps each entry label to the (degree, index) of its basis
+    vector of F and `degree` maps it to that degree alone.  Labels -m..-1
+    name the m basis vectors of odd degree and 1..n the n of even degree,
+    ascending labels following ascending (degree, index), so single-box
+    tableaux in canonical order list the basis of F in its own order.
+    `at(k)` lists the standard tableaux of total degree k in the order of
+    their column reading words.
+    """
 
     def __init__(self, shape, f):
         if not isinstance(shape, Partition):
             shape = Partition(shape)
         self.shape = shape
-        self.parity = parity_split(f)
-        tabs = enumerate_standard(shape, self.parity.m, self.parity.n,
-                                  entry_degree=self.parity.degree_of)
-        self.by_degree = {}
-        for t in tabs:
-            self.by_degree.setdefault(tableau_degree(t, self.parity), []).append(t)
-        if self.by_degree:
-            self.min_degree = min(self.by_degree)
-            self.max_degree = max(self.by_degree)
-        else:
-            self.min_degree = 0
-            self.max_degree = 0
+        odd, even = [], []
+        for k in f.degrees():
+            (odd if k % 2 else even).extend((k, i) for i in range(f.rank_at(k)))
+        labels = list(range(-len(odd), 0)) + list(range(1, len(even) + 1))
+        self.position = dict(zip(labels, odd + even))
+        self.degree = {v: k for v, (k, _) in self.position.items()}
+        by_degree = {}
+        for t in enumerate_standard(shape, len(odd), len(even)):
+            k = sum(self.degree[v] for col in t.columns for v in col)
+            by_degree.setdefault(k, []).append(t)
+        self.by_degree = by_degree
+        self.min_degree = min(by_degree, default=0)
+        self.max_degree = max(by_degree, default=0)
 
     def at(self, k):
         return self.by_degree.get(k, [])
@@ -53,47 +60,40 @@ class SchurBasis:
             list(self.shape.parts), self.min_degree, self.max_degree)
 
 
-def _entry_differential_table(f, parity):
+def _entry_differential_table(f, basis):
     """For every entry label, the terms of d on its basis vector.
 
     Returns {label: [(term map of the polynomial, target label), ...]};
     empty at the bottom degree.  Targets always sit one homological degree
     lower, so they flip parity.
     """
+    label_at = {pos: v for v, pos in basis.position.items()}
     table = {}
-    for label in list(range(-parity.m, 0)) + list(range(1, parity.n + 1)):
-        deg, idx = parity.info(label)
-        terms = []
+    for label, (deg, idx) in basis.position.items():
         d = f.differential_from(deg)
-        if d is not None:
-            for row, p in d.columns[idx].items():
-                terms.append((p.terms, parity.label_of(deg - 1, row)))
-        table[label] = terms
+        table[label] = [] if d is None else [
+            (p.terms, label_at[deg - 1, row]) for row, p in d.columns[idx].items()]
     return table
 
 
-def _replace_terms(columns, ci, pos, new_label):
-    """Substitute a letter into a column and renormalize.
+def _replace_terms(col, pos, label):
+    """Put a letter in place of the one at position pos of a column.
 
-    The letter at position pos of column ci is removed and new_label is
-    multiplied back in at that spot; returns (column tuple, integer
-    coefficient) or None when the product vanishes.
+    Returns (canonical column, integer coefficient) or None when the column
+    vanishes.  The coefficient is the sign of sorting the letter into place,
+    times its multiplicity in the result when it is a divided power (odd)
+    letter.  pos must be the first position of its run of equal letters.
     """
-    col = columns[ci]
-    prefix = col[:pos]
-    suffix = col[pos + 1:]
-    inner = column_product((new_label,), suffix)
-    if inner is None:
+    norm = normalize_column(col[:pos] + (label,) + col[pos + 1:])
+    if norm is None:
         return None
-    merged, c1 = inner
-    outer = column_product(prefix, merged)
-    if outer is None:
-        return None
-    final, c2 = outer
-    return final, c1 * c2
+    new_col, sign = norm
+    if label < 0:
+        sign *= new_col.count(label)
+    return new_col, sign
 
 
-def _differential(columns, table, parity):
+def _differential(columns, table, degree):
     """Image of a standard tableau, given by its columns, under d.
 
     Returns {standard column tuple: term map}, the term maps summed but not
@@ -109,11 +109,11 @@ def _differential(columns, table, parity):
         offset = 0
         for pos, v in enumerate(col):
             if pos > 0 and col[pos - 1] == v and v < 0:
-                offset += parity.degree_of(v)
+                offset += degree[v]
                 continue
             sign = -1 if (prefix_degree + offset) % 2 else 1
             for terms, label in table[v]:
-                replaced = _replace_terms(columns, ci, pos, label)
+                replaced = _replace_terms(col, pos, label)
                 if replaced is None:
                     continue
                 new_col, k = replaced
@@ -124,7 +124,7 @@ def _differential(columns, table, parity):
                     if acc is None:
                         acc = result[std] = {}
                     add_scaled(acc, terms, scale * c)
-            offset += parity.degree_of(v)
+            offset += degree[v]
         prefix_degree += offset
     return result
 
@@ -141,8 +141,7 @@ def schur_complex(shape, f):
     ring = f.ring
     if basis.is_empty():
         return FreeComplex(ring, 0, (0,), ())
-    parity = basis.parity
-    table = _entry_differential_table(f, parity)
+    table = _entry_differential_table(f, basis)
     degrees = list(basis.degrees())
     ranks = [len(basis.at(k)) for k in degrees]
     diffs = []
@@ -152,7 +151,7 @@ def schur_complex(shape, f):
         row_of = {t.columns: i for i, t in enumerate(targets)}
         mat = PolyMatrix.zero(ring, len(targets), len(sources))
         for t, col in zip(sources, mat.columns):
-            for std, acc in _differential(t.columns, table, parity).items():
+            for std, acc in _differential(t.columns, table, basis.degree).items():
                 terms = reduce_terms(ring.field, acc)
                 if terms:
                     col[row_of[std]] = Polynomial(ring, terms)

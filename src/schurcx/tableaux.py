@@ -469,12 +469,10 @@ def straighten(t, m=None, n=None):
 
 # -- enumeration -------------------------------------------------------------
 
-def enumerate_standard(shape, m, n, entry_degree=None, degree=None):
+def enumerate_standard(shape, m, n):
     """All standard tableaux of the shape with entries in {-m..-1, 1..n}.
 
-    Sorted by ascending total degree under entry_degree (taken as zero when
-    absent), ties broken by the column reading word.  When degree is given
-    only tableaux of that total degree are returned.
+    Sorted by the column reading word.
     """
     if not isinstance(shape, Partition):
         shape = Partition(shape)
@@ -504,13 +502,5 @@ def enumerate_standard(shape, m, n, entry_degree=None, degree=None):
         cols[ci][ri] = None
 
     fill(0, 0)
-    # for one shape, column tuple order is the order of the reading word
-    if entry_degree is None:
-        if degree is not None:
-            raise ValueError("degree filter needs an entry_degree map")
-        found.sort()
-    else:
-        keyed = sorted((sum(entry_degree(v) for col in cols for v in col), cols)
-                       for cols in found)
-        found = [cols for deg, cols in keyed if degree is None or deg == degree]
+    found.sort()  # for one shape, column tuple order is reading word order
     return [Tableau(cols) for cols in found]

@@ -12,7 +12,7 @@ import pytest
 from conftest import generic_matrix_complex
 from schurcx import (RATIONALS, GF, PolyRing, Tableau, koszul_complex,
                      save_complex, schur_complex)
-from schurcx.complexes import complex_from_dict
+from schurcx.complexes import complex_from_dict, load_complex
 from schurcx.cli import main
 
 REPO = Path(__file__).resolve().parents[1]
@@ -130,6 +130,16 @@ def test_schur_repeat_runs_identical(tmp_path, capsys, koszul_file):
 def test_verify_ok(capsys, koszul_file):
     assert main(["verify", "--complex", koszul_file]) == 0
     assert capsys.readouterr().out == "ok\n"
+
+
+def test_verify_reads_saved_variable_names(tmp_path, capsys):
+    ring = PolyRing(RATIONALS, ("x1", "_y", "z_2"))
+    f = koszul_complex(ring.gens())
+    path = str(tmp_path / "names.json")
+    save_complex(f, path)
+    assert main(["verify", "--complex", path]) == 0
+    assert capsys.readouterr().out == "ok\n"
+    assert load_complex(path) == f
 
 
 def test_verify_single_term_complex(tmp_path, capsys):
@@ -343,8 +353,9 @@ def test_ranks_reads_zero_rank_terms(tmp_path, capsys, ranks, differential, h):
     path.write_text(json.dumps(data))
     assert main(["verify", "--complex", str(path)]) == 0
     assert main(["ranks", "--complex", str(path)]) == 0
+    assert main(["homology", "--complex", str(path), "--point", "1"]) == 0
     assert capsys.readouterr().out.splitlines() == [
-        "ok", "degrees 0..1, ranks %d %d" % tuple(ranks), "rank d_1 = 0"] + h
+        "ok", "degrees 0..1, ranks %d %d" % tuple(ranks), "rank d_1 = 0"] + h + h
 
 
 def test_nonsquaring_input_complex_is_invalid(tmp_path, capsys):

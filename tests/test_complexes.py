@@ -9,8 +9,8 @@ from conftest import random_three_term
 from schurcx import (GF, RATIONALS, FreeComplex, PolyMatrix, PolyRing,
                      homology_ranks_at_point, koszul_complex, save_complex,
                      validate_complex)
-from schurcx.complexes import (complex_from_dict, complex_to_dict,
-                               load_complex, parity_split)
+from schurcx.complexes import complex_from_dict, complex_to_dict, load_complex
+from schurcx.schur import SchurBasis
 
 
 @pytest.fixture
@@ -87,33 +87,34 @@ def test_two_term_complex_always_valid():
 
 
 def test_parity_split_koszul(koszul_xy):
-    pb = parity_split(koszul_xy)
-    assert len(pb.odd) == 2 and len(pb.even) == 2
+    basis = SchurBasis((1,), koszul_xy)
+    assert sorted(basis.position) == [-2, -1, 1, 2]
     # degree-ascending labeling: f_1 from degree 0, f_2 from degree 2
-    assert pb.degree_of(1) == 0
-    assert pb.degree_of(2) == 2
-    assert pb.degree_of(-1) == 1
-    assert pb.degree_of(-2) == 1
+    assert basis.degree[1] == 0
+    assert basis.degree[2] == 2
+    assert basis.degree[-1] == 1
+    assert basis.degree[-2] == 1
 
 
 def test_parity_split_concentrated_even():
     ring = PolyRing(RATIONALS, ("x",))
     f = FreeComplex(ring, 0, (3,), ())
-    pb = parity_split(f)
-    assert len(pb.odd) == 0 and len(pb.even) == 3
+    basis = SchurBasis((1,), f)
+    assert sorted(basis.position) == [1, 2, 3]
 
 
 def test_parity_split_concentrated_odd():
     ring = PolyRing(RATIONALS, ("x",))
     f = FreeComplex(ring, 1, (2,), ())
-    pb = parity_split(f)
-    assert len(pb.odd) == 2 and len(pb.even) == 0
+    basis = SchurBasis((1,), f)
+    assert sorted(basis.position) == [-2, -1]
 
 
 def test_parity_split_deterministic(koszul_xy):
-    a = parity_split(koszul_xy)
-    b = parity_split(koszul_xy)
-    assert a.odd == b.odd and a.even == b.even
+    a = SchurBasis((1,), koszul_xy)
+    b = SchurBasis((1,), koszul_xy)
+    assert list(a.position.items()) == list(b.position.items())
+    assert a.degree == b.degree
 
 
 def test_homology_at_unit_point(koszul_xy):

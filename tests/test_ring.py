@@ -141,6 +141,14 @@ def test_parse_rejects_garbage(qq_xy):
         PolyRing(GF(3), ("x",)).parse("3*1/3")
 
 
+def test_ring_rejects_unreadable_names():
+    for bad in ("a-b", "x y", "x^2", "2x", "", "x*y", " x"):
+        with pytest.raises(ValueError):
+            PolyRing(RATIONALS, (bad,))
+    for good in ("x1", "_y", "alpha_2", "X"):
+        assert PolyRing(RATIONALS, (good,)).variables == (good,)
+
+
 def test_is_prime():
     assert [p for p in range(2, 30) if is_prime(p)] == \
         [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]

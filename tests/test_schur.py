@@ -10,9 +10,8 @@ from schurcx import (GF, RATIONALS, FreeComplex, PolyMatrix, PolyRing,
                      SchurBasis, Tableau, enumerate_standard, exterior_power,
                      koszul_complex, schur_complex, symmetric_power,
                      validate_complex)
-from schurcx.complexes import parity_split
-from schurcx.schur import tableau_degree
-from schurcx.tableaux import Partition
+from schurcx.schur import _replace_terms
+from schurcx.tableaux import Partition, column_product
 
 
 @pytest.fixture
@@ -21,29 +20,35 @@ def koszul_xy():
     return koszul_complex(ring.gens())
 
 
+def total_degree(basis, t):
+    """Sum of the degrees of a tableau's entries under the basis labeling."""
+    return sum(basis.degree[v] for v in t.reading_word())
+
+
 def test_tableau_degree_koszul(koszul_xy):
-    pb = parity_split(koszul_xy)
-    assert tableau_degree(Tableau(((-1, 2),)), pb) == 3
-    assert tableau_degree(Tableau(((1,), (1,))), pb) == 0
-    assert tableau_degree(Tableau(((-1,),)), pb) == 1
+    basis = SchurBasis((1,), koszul_xy)
+    assert total_degree(basis, Tableau(((-1, 2),))) == 3
+    assert total_degree(basis, Tableau(((1,), (1,)))) == 0
+    assert total_degree(basis, Tableau(((-1,),))) == 1
+    assert Tableau(((-1, 2),)) in SchurBasis((1, 1), koszul_xy).at(3)
+    assert Tableau(((1,), (1,))) in SchurBasis((2,), koszul_xy).at(0)
+    assert Tableau(((-1,),)) in basis.at(1)
 
 
 def test_tableau_degree_range_error(koszul_xy):
-    pb = parity_split(koszul_xy)
-    with pytest.raises(IndexError):
-        tableau_degree(Tableau(((7,),)), pb)
-    with pytest.raises(ValueError):
-        pb.info(0)
+    basis = SchurBasis((1,), koszul_xy)
+    with pytest.raises(KeyError):
+        total_degree(basis, Tableau(((7,),)))
+    assert 0 not in basis.position and 0 not in basis.degree
 
 
 def test_schur_basis_grading(koszul_xy):
     basis = SchurBasis((1, 1), koszul_xy)
     assert basis.min_degree == 1 and basis.max_degree == 3
     assert [len(basis.at(k)) for k in basis.degrees()] == [2, 4, 2]
-    pb = parity_split(koszul_xy)
     for k in basis.degrees():
         for t in basis.at(k):
-            assert tableau_degree(t, pb) == k
+            assert total_degree(basis, t) == k
 
 
 def test_exterior_square_of_koszul(koszul_xy):
@@ -135,17 +140,16 @@ def test_zero_differential_gives_empty_image():
 def test_single_column_differential_is_matrix_column(koszul_xy):
     basis = SchurBasis((1,), koszul_xy)
     s = schur_complex(basis, koszul_xy)
-    pb = parity_split(koszul_xy)
     for k in basis.degrees():
         if k == 0:
             continue
         d = koszul_xy.differential_from(k)
         image = s.differential_from(k)
         for j, t in enumerate(basis.at(k)):
-            _, src = pb.info(t.columns[0][0])
+            _, src = basis.position[t.columns[0][0]]
             expect = {}
             for row, target in enumerate(basis.at(k - 1)):
-                _, dst = pb.info(target.columns[0][0])
+                _, dst = basis.position[target.columns[0][0]]
                 p = d[dst, src]
                 if not p.is_zero():
                     expect[row] = p
@@ -156,7 +160,6 @@ def test_degree_bookkeeping():
     f = random_three_term(2)
     basis = SchurBasis((2, 1), f)
     s = schur_complex(basis, f)
-    pb = parity_split(f)
     for k in basis.degrees():
         d = s.differential_from(k)
         if d is None:
@@ -165,7 +168,7 @@ def test_degree_bookkeeping():
         for j in range(len(basis.at(k))):
             for row, coeff in d.columns[j].items():
                 assert not coeff.is_zero()
-                assert tableau_degree(targets[row], pb) == k - 1
+                assert total_degree(basis, targets[row]) == k - 1
 
 
 def test_divided_and_symmetric_coefficients():
@@ -246,20 +249,51 @@ def test_rank_stability_across_differentials():
 
 def test_euler_characteristic_counts():
     f = random_three_term(5)
-    pb = parity_split(f)
+    labels = SchurBasis((1,), f)
+    m = sum(1 for v in labels.position if v < 0)
+    n = len(labels.position) - m
     for shape in ((2,), (1, 1), (2, 1), (3,)):
         s = schur_complex(shape, f)
         if s.ranks == (0,):
             continue
         counted = {}
-        for t in enumerate_standard(shape, len(pb.odd), len(pb.even),
-                                    entry_degree=pb.degree_of):
-            k = tableau_degree(t, pb)
+        for t in enumerate_standard(shape, m, n):
+            k = total_degree(labels, t)
             counted[k] = counted.get(k, 0) + 1
         chi_ranks = sum((-1) ** k * r
                         for k, r in zip(s.degrees(), s.ranks))
         chi_count = sum((-1) ** k * v for k, v in counted.items())
         assert chi_ranks == chi_count
+
+
+def canonical_columns(m, n, length):
+    """Every canonical column of the given length over {-m..-1, 1..n}."""
+    for k in range(length + 1):
+        for negs in itertools.combinations_with_replacement(range(-m, 0), k):
+            for poss in itertools.combinations(range(1, n + 1), length - k):
+                yield negs + poss
+
+
+def test_replace_terms_is_column_product():
+    """Sorting the new letter into place is the product prefix * (letter * suffix)."""
+    cases = 0
+    for m, n in ((3, 3), (2, 4), (4, 1)):
+        for length in range(1, 6):
+            for col in canonical_columns(m, n, length):
+                for pos, v in enumerate(col):
+                    if pos > 0 and col[pos - 1] == v:
+                        continue  # only the first letter of a run is replaced
+                    for label in (range(1, n + 1) if v < 0 else range(-m, 0)):
+                        expect = None
+                        inner = column_product((label,), col[pos + 1:])
+                        if inner is not None:
+                            outer = column_product(col[:pos], inner[0])
+                            if outer is not None:
+                                expect = (outer[0], inner[1] * outer[1])
+                        assert _replace_terms(col, pos, label) == expect, \
+                            (col, pos, label)
+                        cases += 1
+    assert cases == 3986
 
 
 def test_empty_basis_yields_zero_complex():

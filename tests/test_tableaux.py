@@ -333,15 +333,6 @@ def test_enumerate_order_is_canonical():
     assert words == sorted(words)
 
 
-def test_enumerate_degree_filter():
-    degree = {1: 0, -1: 1}.get
-    all_t = enumerate_standard((2,), 1, 1, entry_degree=degree)
-    for k in (0, 1, 2):
-        sub = enumerate_standard((2,), 1, 1, entry_degree=degree, degree=k)
-        assert sub == [t for t in all_t
-                       if sum(degree(v) for v in t.reading_word()) == k]
-
-
 def test_tensor_embed_mixed_column():
     assert tensor_embed((-1, 1)) == {(-1, 1): 1, (1, -1): -1}
 
