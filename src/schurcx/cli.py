@@ -105,9 +105,12 @@ def cmd_schur(args):
         shape = shape.conjugate()
     basis = SchurBasis(shape, f)
     s = schur_complex(basis, f)
-    if validate_complex(s):
+    problems = validate_complex(s)
+    if problems:
         print("internal error: output differentials do not compose to zero",
               file=sys.stderr)
+        for p in problems:
+            print(p, file=sys.stderr)
         return INTERNAL_ERROR
     payload = complex_to_dict(s)
     payload["shape"] = list(shape.parts)

@@ -6,6 +6,7 @@ The matrix for degree k has shape rank(k-1) x rank(k): columns are indexed by
 the source basis, rows by the target basis, i.e. d sends degree k to k-1.
 """
 
+import itertools
 import json
 
 from .ring import (CoefficientField, PolyRing, PolyMatrix, RATIONALS, mat_mul,
@@ -76,10 +77,10 @@ def validate_complex(f):
     """Return a list of violations; empty means the complex is valid.
 
     Reports every shape mismatch against the rank list and every adjacent
-    pair of differentials whose composition is nonzero.
+    pair of differentials whose composition is nonzero, with the 0-based row
+    and column of its first nonzero entry (lowest column, then lowest row).
     """
     problems = []
-    n = len(f.ranks)
     for i, d in enumerate(f.differentials):
         k = f.min_degree + i + 1
         want = (f.ranks[i], f.ranks[i + 1])
@@ -90,9 +91,12 @@ def validate_complex(f):
         a, b = f.differentials[i], f.differentials[i + 1]
         if a.cols != b.rows:
             continue  # already reported as a shape mismatch
-        if not mat_mul(a, b).is_zero():
-            k = f.min_degree + i + 1
-            problems.append("d_%d . d_%d != 0" % (k, k + 1))
+        for col, entries in enumerate(mat_mul(a, b).columns):
+            if entries:
+                k = f.min_degree + i + 1
+                problems.append("d_%d . d_%d != 0 at row %d, column %d"
+                                % (k, k + 1, min(entries), col))
+                break
     return problems
 
 
@@ -111,7 +115,6 @@ def koszul_complex(elements):
         if p.ring != ring:
             raise ValueError("elements from different rings")
     n = len(elements)
-    import itertools
     levels = [list(itertools.combinations(range(n), j)) for j in range(n + 1)]
     index = [{s: i for i, s in enumerate(lvl)} for lvl in levels]
     diffs = []
@@ -153,6 +156,13 @@ def ring_to_dict(ring):
     return {"coefficients": coeff, "variables": list(ring.variables)}
 
 
+def _array(value, what):
+    """The value itself when it is a JSON array; TypeError otherwise."""
+    if not isinstance(value, list):
+        raise TypeError("%s must be an array, got %s" % (what, type(value).__name__))
+    return value
+
+
 def ring_from_dict(data):
     coeff = data["coefficients"]
     if coeff == "QQ":
@@ -161,7 +171,7 @@ def ring_from_dict(data):
         field = CoefficientField(coeff["p"])
     else:
         raise ValueError("unknown coefficient field %r" % (coeff,))
-    return PolyRing(field, data["variables"])
+    return PolyRing(field, _array(data["variables"], "variables"))
 
 
 def complex_to_dict(f):
@@ -176,9 +186,11 @@ def complex_to_dict(f):
 def complex_from_dict(data):
     ring = ring_from_dict(data["ring"])
     ranks = data["ranks"]
-    _check_terms(data["min_degree"], ranks, len(data["differentials"]))
+    differentials = _array(data["differentials"], "differentials")
+    _check_terms(data["min_degree"], ranks, len(differentials))
     diffs = []
-    for i, rows in enumerate(data["differentials"]):
+    for i, rows in enumerate(differentials):
+        rows = [_array(r, "a row") for r in _array(rows, "a differential")]
         if len(rows) != ranks[i] or any(len(r) != ranks[i + 1] for r in rows):
             raise ValueError("differential %d has wrong shape" % (i + 1,))
         diffs.append(PolyMatrix.from_strings(ring, rows,

@@ -17,12 +17,15 @@ from operator import add
 import random
 import re
 
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# The least composite that passes every witness above: is_prime is proved
+# correct below it (Sorenson and Webster, Math. Comp. 2017) and wrong on it.
+_MR_BOUND = 3317044064679887385961981
 _NAME = r"[^\W\d]\w*"  # a variable name: a word that does not start with a digit
 
 
 def is_prime(n):
-    """Deterministic Miller-Rabin, valid for every n below 3.3e24."""
+    """Deterministic Miller-Rabin, valid for every n below _MR_BOUND."""
     if n < 2:
         return False
     for p in _MR_WITNESSES:
@@ -56,6 +59,9 @@ class CoefficientField:
         if p is not None:
             if not isinstance(p, int) or not is_prime(p):
                 raise ValueError("field characteristic must be prime, got %r" % (p,))
+            if p >= _MR_BOUND:
+                raise ValueError("field characteristic %d is too large: primality "
+                                 "is proved only below %d" % (p, _MR_BOUND))
         self.p = p
 
     @property

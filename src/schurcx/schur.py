@@ -12,7 +12,7 @@ and straightens the result.
 
 from .complexes import FreeComplex
 from .ring import PolyMatrix, Polynomial, add_scaled, reduce_terms
-from .tableaux import (Partition, enumerate_standard, normalize_column,
+from .tableaux import (Partition, column_product, enumerate_standard,
                        _straighten_columns)
 
 
@@ -76,23 +76,6 @@ def _entry_differential_table(f, basis):
     return table
 
 
-def _replace_terms(col, pos, label):
-    """Put a letter in place of the one at position pos of a column.
-
-    Returns (canonical column, integer coefficient) or None when the column
-    vanishes.  The coefficient is the sign of sorting the letter into place,
-    times its multiplicity in the result when it is a divided power (odd)
-    letter.  pos must be the first position of its run of equal letters.
-    """
-    norm = normalize_column(col[:pos] + (label,) + col[pos + 1:])
-    if norm is None:
-        return None
-    new_col, sign = norm
-    if label < 0:
-        sign *= new_col.count(label)
-    return new_col, sign
-
-
 def _differential(columns, table, degree):
     """Image of a standard tableau, given by its columns, under d.
 
@@ -101,7 +84,9 @@ def _differential(columns, table, degree):
     negative value in a column, once per positive entry) is replaced by the
     terms of d on its basis vector, with the sign of the degrees of all
     earlier boxes in column order; divided powers step down a single time
-    per value, which is exactly the divided-power chain rule.
+    per value, which is exactly the divided-power chain rule.  The new
+    letter goes in as the column product of the letters before the run and
+    the letter followed by the rest of the column.
     """
     result = {}
     prefix_degree = 0
@@ -113,7 +98,7 @@ def _differential(columns, table, degree):
                 continue
             sign = -1 if (prefix_degree + offset) % 2 else 1
             for terms, label in table[v]:
-                replaced = _replace_terms(col, pos, label)
+                replaced = column_product(col[:pos], (label,) + col[pos + 1:])
                 if replaced is None:
                     continue
                 new_col, k = replaced

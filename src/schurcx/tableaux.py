@@ -18,11 +18,15 @@ Non-standard tableaux are rewritten into standard ones by `straighten`,
 which repeatedly eliminates the topmost, leftmost row violation using the
 quadratic relations between adjacent columns (`theta_expand`).
 
-Sign conventions: swapping two adjacent entries multiplies by -1 unless both
-are negative (two odd letters commute; any pair involving an even letter
-anticommutes), and moving a block of s odd letters across t even letters
-costs (-1)^(s*t).  These rules make the column spaces divided powers on the
-odd part and exterior powers on the even part.
+Sign conventions: every column sign is the sign of one signed sort
+(`_signed_sort`, behind `normalize_column`), which sorts letters by adjacent
+swaps: swapping two negative entries keeps the sign, because two odd letters
+commute, and any other swap flips it.  This makes the column spaces divided
+powers on the odd part and exterior powers on the even part.  In those terms
+`column_product(x, y)` is the signed sort of the word x + y times a binomial
+C(a + b, b) for each odd letter that x holds a times and y b times, and
+`wedge_coproduct` splits a column into each distinct sub-multiset and its
+complement, signed by sorting the two back into the column.
 
 Inside this module a tableau is its tuple of column tuples; `Tableau`
 objects are built only where tableaux enter or leave it.
@@ -190,16 +194,8 @@ def column_is_canonical(entries):
 
 def is_standard(t):
     """Columns weakly increase (repeats negative), rows too (repeats positive)."""
-    for col in t.columns:
-        if not column_is_canonical(col):
-            return False
-    for a in range(len(t.columns) - 1):
-        left, right = t.columns[a], t.columns[a + 1]
-        for w in range(len(right)):
-            x, y = left[w], right[w]
-            if x > y or (x == y and x < 0):
-                return False
-    return True
+    return (all(map(column_is_canonical, t.columns))
+            and find_violation(t.columns) is None)
 
 
 class Violation(NamedTuple):
@@ -250,122 +246,60 @@ def find_violation(columns):
 
 # -- column algebra ----------------------------------------------------------
 
-def _split_column(col):
-    """(list of (negative value, multiplicity), tuple of positives)."""
-    negs = []
-    poss = []
-    for v in col:
-        if v < 0:
-            if negs and negs[-1][0] == v:
-                negs[-1][1] += 1
-            else:
-                negs.append([v, 1])
-        else:
-            poss.append(v)
-    return negs, tuple(poss)
-
-
-def _merge_negatives(n1, n2):
-    """Merge two divided-power multisets; coefficient is a binomial product."""
-    counts = {}
-    for v, k in n1:
-        counts[v] = counts.get(v, 0) + k
-    coeff = 1
-    for v, k in n2:
-        old = counts.get(v, 0)
-        coeff *= comb(old + k, k)
-        counts[v] = old + k
-    merged = []
-    for v in sorted(counts):
-        merged.extend([v] * counts[v])
-    return merged, coeff
-
-
-def _merge_positives(p1, p2):
-    """Concatenate exterior letters and sort with anticommutation signs."""
-    if set(p1) & set(p2):
-        return None
-    return _signed_sort(p1 + p2)
-
-
 def column_product(x, y):
-    """Multiply two canonical columns; None when the product vanishes.
+    """Multiply two column tuples; None when the product vanishes.
 
-    Returns (canonical column, integer coefficient).  Divided powers merge
-    with binomial coefficients, exterior letters anticommute, and moving the
-    odd letters of y across the even letters of x costs a sign.
+    An odd letter v that a column holds k times stands for the divided power
+    v^(k).  Returns (canonical column, integer coefficient): the signed sort
+    of the word x + y, times C(a + b, b) for each odd letter held a times by
+    x and b times by y, since v^(a) v^(b) = C(a + b, b) v^(a + b).
     """
-    nx, px = _split_column(x)
-    ny, py = _split_column(y)
-    sign = -1 if (sum(k for _, k in ny) * len(px)) % 2 else 1
-    merged_p = _merge_positives(px, py)
-    if merged_p is None:
+    norm = normalize_column(x + y)
+    if norm is None:
         return None
-    poss, psign = merged_p
-    negs, coeff = _merge_negatives(nx, ny)
-    return tuple(negs) + tuple(poss), sign * psign * coeff
-
-
-def _unshuffle_sign(positions, total):
-    """Sign of pulling the listed positions to the front, orders kept."""
-    inversions = 0
-    chosen = set(positions)
-    for s in positions:
-        inversions += sum(1 for t in range(s) if t not in chosen)
-    return -1 if inversions % 2 else 1
+    col, coeff = norm
+    for v in set(x).intersection(y):  # only odd letters: even repeats vanished
+        b = y.count(v)
+        coeff *= comb(x.count(v) + b, b)
+    return col, coeff
 
 
 def wedge_coproduct(x, split):
     """Split a canonical column into two, summing over all ways.
 
-    Returns {(left column, right column): integer coefficient} for the
-    component of the comultiplication landing in box counts `split`.
-    Divided powers split with unit coefficients, exterior parts with the
-    unshuffle sign, and swapping the inner odd/even blocks costs
-    (-1)^(odd letters going right * even letters going left).
+    Returns {(left column, right column): sign} for the component of the
+    comultiplication landing in box counts `split`: one term per distinct
+    sub-multiset `left` of size p, with `right` its complement and the sign
+    that of sorting left + right back into x.
     """
     p, q = split
     x = tuple(x)
     if p + q != len(x) or p < 0 or q < 0:
         raise ValueError("split %r does not match column size %d" % (split, len(x)))
-    negs, poss = _split_column(x)
     out = {}
-    for left_counts in itertools.product(*[range(k + 1) for _, k in negs]):
-        nleft = sum(left_counts)
-        wanted = p - nleft
-        if wanted < 0 or wanted > len(poss):
-            continue
-        left_negs = []
-        right_negs = []
-        for (v, k), b in zip(negs, left_counts):
-            left_negs.extend([v] * b)
-            right_negs.extend([v] * (k - b))
-        tau = -1 if (len(right_negs) * wanted) % 2 else 1
-        for subset in itertools.combinations(range(len(poss)), wanted):
-            sign = _unshuffle_sign(subset, len(poss)) * tau
-            chosen = set(subset)
-            left = tuple(left_negs) + tuple(poss[i] for i in subset)
-            right = tuple(right_negs) + tuple(poss[i] for i in range(len(poss))
-                                              if i not in chosen)
-            out[(left, right)] = sign
+    for chosen in itertools.combinations(range(len(x)), p):
+        left = tuple(x[i] for i in chosen)
+        right = tuple(v for i, v in enumerate(x) if i not in chosen)
+        if (left, right) not in out:
+            out[left, right] = _signed_sort(left + right)[1]
     return out
 
 
 def theta_image(v1, v2, v3, ca, cb):
     """Expand one quadratic relation generator into column pairs.
 
-    v1, v2, v3 are canonical columns with len(v1) + len(v2) + len(v3) equal
-    to ca + cb; v2 is split into a (ca - len(v1), cb - len(v3)) piece, the
-    left part multiplies v1 and the right part multiplies into v3.  Returns
+    v1, v2, v3 are canonical column tuples, len(v1) + len(v2) + len(v3)
+    equal to ca + cb; v2 is split into a (ca - len(v1), cb - len(v3)) piece,
+    the left part multiplies v1 and the right part multiplies into v3.  Returns
     {(column of length ca, column of length cb): integer coefficient}.
     """
     u, v = len(v1), len(v3)
     out = {}
     for (left, right), sign in wedge_coproduct(v2, (ca - u, cb - v)).items():
-        a = column_product(tuple(v1), left)
+        a = column_product(v1, left)
         if a is None:
             continue
-        b = column_product(right, tuple(v3))
+        b = column_product(right, v3)
         if b is None:
             continue
         col_a, ka = a
@@ -400,16 +334,9 @@ def theta_expand(columns, violation):
     middle = normalize_column(left[u:] + right[:violation.split_row])
     if middle is None:
         raise ValueError("exchange block vanished; tableau was zero")
-    v2 = middle[0]
-    out = {}
-    for (col_a, col_b), coeff in theta_image(v1, v2, v3, ca, cb).items():
-        key = columns[:a - 1] + (col_a, col_b) + columns[a + 1:]
-        c = out.get(key, 0) + coeff
-        if c:
-            out[key] = c
-        else:
-            out.pop(key, None)
-    return out
+    head, tail = columns[:a - 1], columns[a + 1:]
+    return {head + pair + tail: c
+            for pair, c in theta_image(v1, middle[0], v3, ca, cb).items()}
 
 
 @lru_cache(maxsize=None)

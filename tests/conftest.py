@@ -1,5 +1,6 @@
 """Shared builders for the test suite."""
 
+import itertools
 import random
 
 from schurcx import FreeComplex, PolyMatrix, PolyRing, RATIONALS
@@ -14,6 +15,14 @@ def partitions(r, cap=None):
     for first in range(min(r, cap), 0, -1):
         for rest in partitions(r - first, first):
             yield (first,) + rest
+
+
+def canonical_columns(m, n, length):
+    """Every canonical column of the given length over {-m..-1, 1..n}."""
+    for k in range(length + 1):
+        for negs in itertools.combinations_with_replacement(range(-m, 0), k):
+            for poss in itertools.combinations(range(1, n + 1), length - k):
+                yield negs + poss
 
 
 def generic_matrix_complex(nrows, ncols, field=RATIONALS):

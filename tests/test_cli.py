@@ -192,7 +192,7 @@ def test_verify_catches_broken_differential(tmp_path, capsys):
     path.write_text(json.dumps(data))
     assert main(["verify", "--complex", str(path)]) == 1
     text = capsys.readouterr().out
-    assert "d_1 . d_2" in text
+    assert text == "d_1 . d_2 != 0 at row 0, column 0\n"
 
 
 def test_ranks_output(capsys, koszul_file):
@@ -338,6 +338,44 @@ def test_verify_reads_entries(tmp_path, capsys, entry, code):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("variables, ranks, differentials", [
+    ("xy", [1, 1], [[["x"]]]),       # variables as a string
+    (["x"], [1, 1], ["x"]),          # a differential as a string
+    (["x", "y"], [1, 2], [["xy"]]),  # a row as a string
+    (["x"], [1, 1], "x"),            # the list of differentials as a string
+    (["x"], [1, 1], {"x": 1}),       # ... as an object
+])
+def test_verify_requires_arrays(tmp_path, capsys, variables, ranks,
+                                differentials):
+    data = {
+        "ring": {"coefficients": "QQ", "variables": variables},
+        "min_degree": 0,
+        "ranks": ranks,
+        "differentials": differentials,
+    }
+    path = tmp_path / "strings.json"
+    path.write_text(json.dumps(data))
+    assert main(["verify", "--complex", str(path)]) == 2
+    assert "must be an array" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("p", [
+    318665857834031151167461,    # passes the bases 2..37
+    3317044064679887385961981,   # passes the bases 2..41
+])
+def test_verify_rejects_unproved_characteristic(tmp_path, capsys, p):
+    data = {
+        "ring": {"coefficients": {"p": p}, "variables": ["x"]},
+        "min_degree": 0,
+        "ranks": [1, 1],
+        "differentials": [[["x"]]],
+    }
+    path = tmp_path / "composite.json"
+    path.write_text(json.dumps(data))
+    assert main(["verify", "--complex", str(path)]) == 3
+    assert "field characteristic" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("ranks, differential, h", [
     ([0, 2], [], ["h_0 = 0", "h_1 = 2"]),
     ([2, 0], [[], []], ["h_0 = 2", "h_1 = 0"]),
@@ -392,7 +430,9 @@ def test_internal_check_guards_output(tmp_path, capsys, koszul_file,
     monkeypatch.setattr(cli_mod, "validate_complex", fake_validate)
     rc = main(["schur", "--complex", koszul_file, "--shape", "1,1"])
     assert rc == 4
-    assert "internal error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "internal error" in err
+    assert err.splitlines()[1:] == ["forced failure"]
     assert len(calls) == 2
 
 

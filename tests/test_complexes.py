@@ -62,7 +62,15 @@ def test_validate_catches_nonzero_square():
     f = FreeComplex(ring, 0, (1, 1, 1), (x, x))
     problems = validate_complex(f)
     assert len(problems) == 1
-    assert "d_1 . d_2" in problems[0]
+    assert problems[0] == "d_1 . d_2 != 0 at row 0, column 0"
+    # the first nonzero entry is found by lowest column, then lowest row
+    ring = PolyRing(RATIONALS, ("x", "y"))
+    x, y = ring.gens()
+    one, zero = ring.one(), ring.zero()
+    identity = PolyMatrix(ring, [[one, zero], [zero, one]])
+    antidiagonal = PolyMatrix(ring, [[zero, y], [x, zero]])
+    f = FreeComplex(ring, 0, (2, 2, 2), (identity, antidiagonal))
+    assert validate_complex(f) == ["d_1 . d_2 != 0 at row 1, column 0"]
 
 
 def test_validate_catches_bad_shape():

@@ -152,8 +152,18 @@ def test_ring_rejects_unreadable_names():
 def test_is_prime():
     assert [p for p in range(2, 30) if is_prime(p)] == \
         [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+    for n in range(10 ** 4):
+        trial = n >= 2 and all(n % d for d in range(2, int(n ** 0.5) + 1))
+        assert is_prime(n) == trial, n
     with pytest.raises(ValueError):
         GF(6)
+    # strong pseudoprimes to the bases 2..37 and 2..41
+    for composite, factor in ((318665857834031151167461, 399165290221),
+                              (3317044064679887385961981, 1287836182261)):
+        assert composite % factor == 0
+        with pytest.raises(ValueError):
+            GF(composite)
+    assert GF(2 ** 61 - 1).p == 2 ** 61 - 1
 
 
 def test_gf_arithmetic():

@@ -5,12 +5,12 @@ from math import comb
 
 import pytest
 
-from conftest import generic_matrix_complex, partitions, random_three_term
+from conftest import (canonical_columns, generic_matrix_complex, partitions,
+                      random_three_term)
 from schurcx import (GF, RATIONALS, FreeComplex, PolyMatrix, PolyRing,
                      SchurBasis, Tableau, enumerate_standard, exterior_power,
                      koszul_complex, schur_complex, symmetric_power,
                      validate_complex)
-from schurcx.schur import _replace_terms
 from schurcx.tableaux import Partition, column_product
 
 
@@ -266,16 +266,9 @@ def test_euler_characteristic_counts():
         assert chi_ranks == chi_count
 
 
-def canonical_columns(m, n, length):
-    """Every canonical column of the given length over {-m..-1, 1..n}."""
-    for k in range(length + 1):
-        for negs in itertools.combinations_with_replacement(range(-m, 0), k):
-            for poss in itertools.combinations(range(1, n + 1), length - k):
-                yield negs + poss
-
-
 def test_replace_terms_is_column_product():
-    """Sorting the new letter into place is the product prefix * (letter * suffix)."""
+    """Replacing a run's first letter, as prefix * (letter + suffix) in one
+    product, equals prefix * (letter * suffix)."""
     cases = 0
     for m, n in ((3, 3), (2, 4), (4, 1)):
         for length in range(1, 6):
@@ -290,8 +283,9 @@ def test_replace_terms_is_column_product():
                             outer = column_product(col[:pos], inner[0])
                             if outer is not None:
                                 expect = (outer[0], inner[1] * outer[1])
-                        assert _replace_terms(col, pos, label) == expect, \
-                            (col, pos, label)
+                        got = column_product(col[:pos],
+                                             (label,) + col[pos + 1:])
+                        assert got == expect, (col, pos, label)
                         cases += 1
     assert cases == 3986
 

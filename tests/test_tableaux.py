@@ -7,7 +7,7 @@ from math import comb
 
 import pytest
 
-from conftest import partitions
+from conftest import canonical_columns, partitions
 from schurcx import Tableau, enumerate_standard, straighten
 from schurcx.oracles import (RelationSpan, column_basis, deconcatenate,
                              relation_membership, shuffle_mul, tensor_embed)
@@ -347,36 +347,42 @@ def test_tensor_embed_exterior_block():
 
 
 def test_tensor_embed_product_identity():
-    rng = random.Random(7)
-    for _ in range(80):
-        x = _random_canonical_column(rng, rng.randint(1, 3), 2, 3)
-        y = _random_canonical_column(rng, rng.randint(1, 3), 2, 3)
-        lhs = shuffle_mul(tensor_embed(x), tensor_embed(y))
-        product = column_product(x, y)
-        if product is None:
-            assert lhs == {}
-        else:
-            col, c = product
-            assert lhs == {w: c * s for w, s in tensor_embed(col).items()}
+    columns = [col for length in (1, 2, 3)
+               for col in canonical_columns(2, 3, length)]
+    cases = 0
+    for x in columns:
+        for y in columns:
+            if len(x) + len(y) > 5:
+                continue
+            lhs = shuffle_mul(tensor_embed(x), tensor_embed(y))
+            product = column_product(x, y)
+            if product is None:
+                assert lhs == {}
+            else:
+                col, c = product
+                assert lhs == {w: c * s for w, s in tensor_embed(col).items()}
+            cases += 1
+    assert cases == 969
 
 
 def test_tensor_embed_coproduct_identity():
-    rng = random.Random(11)
-    for _ in range(60):
-        size = rng.randint(2, 4)
-        x = _random_canonical_column(rng, size, 2, 3)
-        for p in range(size + 1):
-            lhs = {}
-            for (left, right), s in wedge_coproduct(x, (p, size - p)).items():
-                for wl, sl in tensor_embed(left).items():
-                    for wr, sr in tensor_embed(right).items():
-                        w = wl + wr
-                        c = lhs.get(w, 0) + s * sl * sr
-                        if c:
-                            lhs[w] = c
-                        else:
-                            lhs.pop(w, None)
-            assert lhs == tensor_embed(x)
+    cases = 0
+    for size in range(1, 6):
+        for x in canonical_columns(2, 3, size):
+            for p in range(size + 1):
+                lhs = {}
+                for (left, right), s in wedge_coproduct(x, (p, size - p)).items():
+                    for wl, sl in tensor_embed(left).items():
+                        for wr, sr in tensor_embed(right).items():
+                            w = wl + wr
+                            c = lhs.get(w, 0) + s * sl * sr
+                            if c:
+                                lhs[w] = c
+                            else:
+                                lhs.pop(w, None)
+                assert lhs == tensor_embed(x)
+                cases += 1
+    assert cases == 482
 
 
 def test_deconcatenate_inverts_concatenation():
