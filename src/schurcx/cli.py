@@ -10,8 +10,9 @@ import json
 import sys
 from fractions import Fraction
 
-from .complexes import (complex_from_dict, complex_to_dict, homology_from_ranks,
-                        homology_ranks_at_point, validate_complex)
+from .complexes import (_array, complex_from_dict, complex_to_dict,
+                        homology_from_ranks, homology_ranks_at_point,
+                        validate_complex)
 from .ring import mat_generic_rank
 from .schur import SchurBasis, schur_complex
 from .tableaux import Partition, Tableau, straighten
@@ -48,8 +49,9 @@ def _load_complex(path):
 def _load_tableau(path):
     data = _load_json(path)
     try:
-        shape = Partition(data["shape"])
-        return Tableau.from_entries(shape, data["entries"])
+        shape = Partition(_array(data["shape"], "shape"))
+        records = [_array(r, "a record") for r in _array(data["entries"], "entries")]
+        return Tableau.from_entries(shape, records)
     except (KeyError, TypeError) as exc:
         raise CliError(PARSE_ERROR, "bad tableau file %s: %s" % (path, exc))
     except ValueError as exc:
@@ -90,17 +92,25 @@ def cmd_straighten(args):
     return OK
 
 
+def _parse_shape(text):
+    try:
+        parts = [int(p) for p in text.split(",")]
+    except ValueError as exc:
+        raise CliError(PARSE_ERROR, "bad shape %r: %s" % (text, exc))
+    try:
+        return Partition(parts)
+    except ValueError as exc:
+        raise CliError(INVALID_INPUT, "invalid shape %r: %s" % (text, exc))
+
+
 def cmd_schur(args):
+    shape = _parse_shape(args.shape)
     f = _load_complex(args.complex)
     problems = validate_complex(f)
     if problems:
         for p in problems:
             print(p, file=sys.stderr)
         return INVALID_INPUT
-    try:
-        shape = Partition([int(p) for p in args.shape.split(",")])
-    except ValueError as exc:
-        raise CliError(PARSE_ERROR, "bad shape %r: %s" % (args.shape, exc))
     if args.conjugate:
         shape = shape.conjugate()
     basis = SchurBasis(shape, f)
@@ -136,12 +146,11 @@ def cmd_verify(args):
 
 def cmd_ranks(args):
     f = _load_complex(args.complex)
+    d_ranks = [mat_generic_rank(d, trials=args.trials, seed=args.seed)
+               for d in f.differentials]
     print("degrees %d..%d, ranks %s" % (
         f.min_degree, f.max_degree, " ".join(str(r) for r in f.ranks)))
-    d_ranks = []
-    for i, d in enumerate(f.differentials):
-        r = mat_generic_rank(d, trials=args.trials, seed=args.seed)
-        d_ranks.append(r)
+    for i, r in enumerate(d_ranks):
         print("rank d_%d = %d" % (f.min_degree + i + 1, r))
     for k, h in zip(f.degrees(), homology_from_ranks(f, d_ranks)):
         print("h_%d = %d" % (k, h))

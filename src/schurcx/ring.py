@@ -1,9 +1,12 @@
 """Exact sparse multivariate polynomial arithmetic over QQ or GF(p).
 
 Polynomials are maps from exponent tuples to nonzero field scalars; the
-variable order is fixed by the ring and every operation is exact (Fraction
-arithmetic over the rationals, modular integers over a prime field).  No
-floating point is used anywhere.
+variable order is fixed by the ring and every operation is exact.  A field
+scalar is a plain Python number: over the rationals an int, or a Fraction
+when it is not an integer; over a prime field an int in [0, p).
+`CoefficientField.coerce` is the one way into the field, and polynomial
+arithmetic reduces its sums mod p and drops their zeros in one place,
+`reduce_terms`.  No floating point is used anywhere.
 
     >>> R = PolyRing(RATIONALS, ("x", "y"))
     >>> x, y = R.gens()
@@ -51,8 +54,11 @@ def is_prime(n):
 class CoefficientField:
     """The rationals (p is None) or the prime field GF(p).
 
-    Scalars are Fraction instances over the rationals and plain ints in
-    [0, p) over a prime field.
+    Scalars are plain numbers: over the rationals an int, or a Fraction only
+    when it is not an integer; over a prime field an int in [0, p).  The
+    literals 0 and 1 are the zero and one of either field.  Arithmetic on
+    rationals may yield an integral Fraction, such as 1/2 * 2; it compares,
+    hashes and prints as the int.
     """
 
     def __init__(self, p=None):
@@ -68,48 +74,32 @@ class CoefficientField:
     def is_rational(self):
         return self.p is None
 
-    def zero(self):
-        return Fraction(0) if self.p is None else 0
-
-    def one(self):
-        return Fraction(1) if self.p is None else 1
-
     def coerce(self, v):
-        """Map an int or Fraction into the field."""
+        """Map a number into the field: an int stays an int over QQ."""
         if self.p is None:
-            return Fraction(v)
+            if type(v) is not int:  # a bool becomes an int too
+                v = Fraction(v)
+                if v.denominator == 1:
+                    v = v.numerator
+            return v
         if isinstance(v, Fraction):
             if v.denominator % self.p == 0:
                 raise ValueError("denominator divisible by %d" % self.p)
             return v.numerator * pow(v.denominator, -1, self.p) % self.p
         return v % self.p
 
-    def add(self, a, b):
-        return a + b if self.p is None else (a + b) % self.p
-
-    def mul(self, a, b):
-        return a * b if self.p is None else (a * b) % self.p
-
-    def neg(self, a):
-        return -a if self.p is None else (-a) % self.p
-
     def invert(self, a):
         if self.p is None:
             if a == 0:
                 raise ZeroDivisionError("inverse of zero")
-            return 1 / Fraction(a)
+            return self.coerce(1 / Fraction(a))
         if a % self.p == 0:
             raise ZeroDivisionError("inverse of zero")
         return pow(a, -1, self.p)
 
-    def div(self, a, b):
-        return self.mul(a, self.invert(b))
-
     def from_quotient(self, num, den):
         if den == 0:
             raise ValueError("zero denominator")
-        if self.p is None:
-            return Fraction(num, den)
         return self.coerce(Fraction(num, den))
 
     def __eq__(self, other):
@@ -153,16 +143,13 @@ class PolyRing:
         return self.constant(1)
 
     def constant(self, c):
-        c = self.field.coerce(c)
-        if c == self.field.zero():
-            return Polynomial(self, {})
-        return Polynomial(self, {(0,) * self.nvars: c})
+        return self.polynomial({(0,) * self.nvars: c})
 
     def variable(self, name):
         i = self.variables.index(name)
         exps = [0] * self.nvars
         exps[i] = 1
-        return Polynomial(self, {tuple(exps): self.field.one()})
+        return Polynomial(self, {tuple(exps): 1})
 
     def gens(self):
         return tuple(self.variable(v) for v in self.variables)
@@ -170,13 +157,12 @@ class PolyRing:
     def polynomial(self, terms):
         """Build a polynomial from {exponent tuple: scalar}, dropping zeros."""
         clean = {}
-        zero = self.field.zero()
         for exps, c in terms.items():
             exps = tuple(exps)
             if len(exps) != self.nvars or any(e < 0 for e in exps):
                 raise ValueError("bad exponent tuple %r" % (exps,))
             c = self.field.coerce(c)
-            if c != zero:
+            if c:
                 clean[exps] = c
         return Polynomial(self, clean)
 
@@ -222,25 +208,17 @@ class Polynomial:
     __radd__ = __add__
 
     def __neg__(self):
-        field = self.ring.field
-        return Polynomial(self.ring, {e: field.neg(c) for e, c in self.terms.items()})
+        return self * -1
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = self.ring.constant(other)
-        return self.__add__(other.__neg__())
+        return self + -other
 
     def __rsub__(self, other):
-        return self.__neg__().__add__(other)
+        return -self + other
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = self.ring.field.coerce(other)
-            if c == self.ring.field.zero():
-                return self.ring.zero()
-            field = self.ring.field
-            return Polynomial(self.ring,
-                              {e: field.mul(v, c) for e, v in self.terms.items()})
+            other = self.ring.constant(other)
         self._check_ring(other)
         acc = add_product({}, self.terms, other.terms)
         return Polynomial(self.ring, reduce_terms(self.ring.field, acc))
@@ -275,7 +253,7 @@ class Polynomial:
     def _value_at(self, point):
         """Value at a point whose coordinates are already field scalars."""
         p = self.ring.field.p
-        total = self.ring.field.zero()
+        total = 0
         for exps, c in self.terms.items():
             for x, e in zip(point, exps):
                 if e:
@@ -297,6 +275,7 @@ class Polynomial:
             raise ZeroDivisionError("division by zero polynomial")
         field = self.ring.field
         lead_e, lead_c = divisor.leading()
+        inv = field.invert(lead_c)
         rem = self
         q = {}
         while not rem.is_zero():
@@ -304,7 +283,7 @@ class Polynomial:
             diff = tuple(a - b for a, b in zip(re, lead_e))
             if any(d < 0 for d in diff):
                 raise ValueError("inexact polynomial division")
-            qc = field.div(rc, lead_c)
+            qc = field.coerce(rc * inv)
             q[diff] = qc
             rem = rem - Polynomial(self.ring, {diff: qc}) * divisor
         return Polynomial(self.ring, q)
@@ -380,7 +359,7 @@ def parse_polynomial(ring, text):
         m = _TERM.match(text, pos)
         if m is None or (pos and not m.group(1)):
             raise ValueError("malformed polynomial %r" % (text,))
-        c, exps = field.one(), [0] * ring.nvars
+        c, exps = 1, [0] * ring.nvars
         for num, den, name, power in _FACTOR.findall(m.group(2)):
             if not name:
                 c *= (field.from_quotient(int(num), int(den)) if den
@@ -540,9 +519,14 @@ class PolyMatrix:
         return out
 
     def evaluate(self, point):
-        """Dense rows of field scalars: the matrix specialized at a point."""
+        """The matrix specialized at a point, as sparse columns.
+
+        One dict {row: field scalar} per column, holding the value of each
+        stored entry; a value may be zero.
+        """
         point = _coerce_point(self.ring, point)
-        return self._dense(self.ring.field.zero(), lambda p: p._value_at(point))
+        return [{i: p._value_at(point) for i, p in col.items()}
+                for col in self.columns]
 
     def to_strings(self):
         return self._dense("0", format_polynomial)
@@ -635,20 +619,22 @@ class SparseEchelon:
             return False
         piv = min(res)
         inv = self.field.invert(res[piv])
-        if inv == int(inv):
-            inv = int(inv)  # integer rows over QQ then stay on int arithmetic
-        self.rows[piv] = {k: self.field.mul(c, inv) for k, c in res.items()}
+        self.rows[piv] = {k: self.field.coerce(c * inv) for k, c in res.items()}
         return True
 
     def contains(self, vec):
         return not self.reduce(vec)
 
 
-def scalar_rank(field, rows):
-    """Rank of a scalar matrix, given as rows, by exact sparse elimination."""
+def scalar_rank(field, vectors):
+    """Rank of the span of sparse vectors {index: scalar}, by exact elimination.
+
+    The columns of `PolyMatrix.evaluate` go in as they are: the rank of the
+    column span is the rank of the matrix.
+    """
     echelon = SparseEchelon(field)
-    for row in rows:
-        echelon.insert(dict(enumerate(row)))
+    for vec in vectors:
+        echelon.insert(vec)
     return echelon.rank
 
 

@@ -110,7 +110,10 @@ class Tableau:
             shape = Partition(shape)
         lengths = shape.column_lengths()
         cols = [[None] * c for c in lengths]
-        for i, j, v in entries:
+        for record in entries:
+            if len(record) != 3:
+                raise ValueError("record %r is not [column, row, value]" % (record,))
+            i, j, v = record
             if type(i) is not int or type(j) is not int:
                 raise ValueError("box position %r, %r is not a pair of integers"
                                  % (i, j))

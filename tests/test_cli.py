@@ -225,6 +225,14 @@ def test_ranks_zero_differentials(tmp_path, capsys):
     ]
 
 
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_ranks_bad_trials_prints_nothing(capsys, koszul_file, trials):
+    assert main(["ranks", "--complex", koszul_file, "--trials", trials]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "trials must be >= 1" in err
+
+
 def test_homology_at_points(capsys, koszul_file):
     assert main(["homology", "--complex", koszul_file, "--point", "1,1"]) == 0
     assert capsys.readouterr().out.splitlines() == ["h_0 = 0", "h_1 = 0",
@@ -267,6 +275,14 @@ def test_bad_shape_is_parse_error(capsys, koszul_file):
     assert "bad shape" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("shape", ["1,2", "0", "-1"])
+def test_shape_breaking_partition_rule_is_invalid(tmp_path, capsys, shape):
+    # the shape is checked before the complex: this file is not even read
+    missing = str(tmp_path / "missing.json")
+    assert main(["schur", "--complex", missing, "--shape", shape]) == 3
+    assert "invalid shape" in capsys.readouterr().err
+
+
 def test_entry_outside_diagram_is_invalid(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"shape": [1], "entries": [[2, 1, 1]]}))
@@ -307,6 +323,25 @@ def test_fractional_shape_part_is_invalid(tmp_path, capsys):
         path.write_text(json.dumps(data))
         assert main(["straighten", "--tableau", str(path)]) == 3, data
         assert "invalid tableau" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("data, code, message", [
+    ({"shape": [2, 1], "entries": "abc"}, 2, "entries must be an array"),
+    ({"shape": [2, 1], "entries": {"a": 1}}, 2, "entries must be an array"),
+    ({"shape": "21", "entries": [[1, 1, 1], [1, 2, 2], [2, 1, 3]]}, 2,
+     "shape must be an array"),
+    ({"shape": [2, 1], "entries": [[1, 1, 1], [1, 2, 2], "abc"]}, 2,
+     "a record must be an array"),
+    ({"shape": [2, 1], "entries": [[1, 1, 1], [1, 2, 2], [2, 1]]}, 3,
+     "record [2, 1] is not [column, row, value]"),
+    ({"shape": [2, 1], "entries": [[1, 1, 1], [1, 2, 2], [2, 1, 3, 4]]}, 3,
+     "record [2, 1, 3, 4] is not [column, row, value]"),
+])
+def test_tableau_file_requires_arrays(tmp_path, capsys, data, code, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    assert main(["straighten", "--tableau", str(path)]) == code
+    assert message in capsys.readouterr().err
 
 
 def test_fractional_min_degree_is_invalid(tmp_path, capsys, koszul_file):

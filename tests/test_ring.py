@@ -8,7 +8,7 @@ import pytest
 
 from schurcx import (GF, RATIONALS, PolyMatrix, PolyRing, mat_generic_rank,
                      mat_rank_exact)
-from schurcx.ring import (format_polynomial, is_prime, mat_mul,
+from schurcx.ring import (Polynomial, format_polynomial, is_prime, mat_mul,
                           mat_rank_at_point, parse_polynomial, scalar_rank)
 
 
@@ -48,6 +48,24 @@ def test_rational_scalar_cancellation(qq_xy):
     assert half_x * qq_xy.constant(2) == qq_xy.variable("x")
 
 
+def _typed(terms):
+    return {e: (type(c), c) for e, c in terms.items()}
+
+
+def test_qq_scalars_are_ints_when_integral(qq_xy):
+    assert _typed(qq_xy.parse("3*x - 4/2*y + 1/2").terms) == {
+        (1, 0): (int, 3), (0, 1): (int, -2), (0, 0): (Fraction, Fraction(1, 2))}
+    assert _typed({0: RATIONALS.coerce(Fraction(6, 3))}) == {0: (int, 2)}
+    assert _typed({0: RATIONALS.invert(-1)}) == {0: (int, -1)}
+    assert _typed({0: RATIONALS.invert(Fraction(1, 3))}) == {0: (int, 3)}
+    assert _typed(qq_xy.constant(True).terms) == {(0, 0): (int, 1)}
+    assert _typed(qq_xy.constant(0.5).terms) == {(0, 0): (Fraction, Fraction(1, 2))}
+    # arithmetic may leave an integral Fraction; it prints as the int
+    for terms in ({(1, 0): 2, (0, 1): -1, (0, 0): 1},
+                  {(1, 0): Fraction(2), (0, 1): Fraction(-1), (0, 0): Fraction(1)}):
+        assert format_polynomial(Polynomial(qq_xy, terms)) == "2*x - y + 1"
+
+
 def test_eval_direct(qq_xy):
     p = qq_xy.parse("x^2 - y^2")
     assert p.evaluate((3, 2)) == 5
@@ -70,8 +88,7 @@ def test_eval_is_hom():
             a, b, c = (_random(ring, rng) for _ in range(3))
             pt = [rng.randint(-4, 4) for _ in range(3)]
             lhs = (a * b + c).evaluate(pt)
-            rhs = field.add(field.mul(a.evaluate(pt), b.evaluate(pt)),
-                            c.evaluate(pt))
+            rhs = field.coerce(a.evaluate(pt) * b.evaluate(pt) + c.evaluate(pt))
             assert lhs == rhs
 
 
@@ -168,8 +185,8 @@ def test_is_prime():
 
 def test_gf_arithmetic():
     f = GF(7)
-    assert f.add(5, 4) == 2
-    assert f.mul(3, 5) == 1
+    assert f.coerce(5 + 4) == 2
+    assert f.coerce(3 * 5) == 1
     assert f.invert(3) == 5
     with pytest.raises(ZeroDivisionError):
         f.invert(0)
@@ -280,8 +297,8 @@ def test_exact_rank_size_guard(qq_xy):
 
 def test_scalar_rank_gf():
     f = GF(2)
-    assert scalar_rank(f, [[1, 1], [1, 1]]) == 1
-    assert scalar_rank(f, [[1, 0], [1, 1]]) == 2
+    assert scalar_rank(f, [{0: 1, 1: 1}, {0: 1, 1: 1}]) == 1
+    assert scalar_rank(f, [{0: 1}, {0: 1, 1: 1}]) == 2
 
 
 def test_matrix_to_strings_round_trip(qq_xy):
@@ -312,19 +329,18 @@ def test_evaluate_huge_exponent_mod_p():
 
 def _random_sparse_rows(rng, field, nrows, ncols):
     rows = [[field.coerce(rng.choice((-3, -1, 1, 2, 5)))
-             if rng.random() < 0.3 else field.zero() for _ in range(ncols)]
+             if rng.random() < 0.3 else 0 for _ in range(ncols)]
             for _ in range(nrows)]
     if nrows and ncols and rng.random() < 0.5:
-        rows[rng.randrange(nrows)] = [field.zero()] * ncols
+        rows[rng.randrange(nrows)] = [0] * ncols
     if nrows and ncols and rng.random() < 0.5:
         j = rng.randrange(ncols)
         for row in rows:
-            row[j] = field.zero()
+            row[j] = 0
     if nrows > 1 and rng.random() < 0.5:
         # a combination of two rows, so that elimination must cancel
         a, b = rng.sample(range(nrows), 2)
-        rows[a] = [field.add(x, field.mul(field.coerce(2), y))
-                   for x, y in zip(rows[a], rows[b])]
+        rows[a] = [field.coerce(x + 2 * y) for x, y in zip(rows[a], rows[b])]
     return rows
 
 
@@ -337,7 +353,8 @@ def test_scalar_rank_matches_bareiss():
             rows = _random_sparse_rows(rng, field, nrows, ncols)
             a = PolyMatrix(ring, [[ring.constant(c) for c in row] for row in rows],
                            shape=(nrows, ncols))
-            assert scalar_rank(field, rows) == mat_rank_exact(a)
+            vectors = [dict(enumerate(row)) for row in rows]
+            assert scalar_rank(field, vectors) == mat_rank_exact(a)
             assert mat_rank_at_point(a, (3,)) == mat_rank_exact(a)
 
 
