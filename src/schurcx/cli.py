@@ -69,7 +69,8 @@ def _emit(data, out):
 
 def _parse_point(text, ring):
     coords = []
-    for piece in text.split(","):
+    # empty text is the point with no coordinates, for a ring with no variables
+    for piece in text.split(",") if text.strip() else ():
         piece = piece.strip()
         try:
             if "/" in piece:

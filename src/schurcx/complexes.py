@@ -35,9 +35,13 @@ class FreeComplex:
         ranks = tuple(ranks)
         differentials = tuple(differentials)
         _check_terms(min_degree, ranks, len(differentials))
-        for d in differentials:
+        for i, d in enumerate(differentials):
             if d.ring != ring:
                 raise ValueError("differential over wrong ring")
+            want = ranks[i:i + 2]
+            if d.shape != want:
+                raise ValueError("d_%d has shape %dx%d, expected %dx%d"
+                                 % ((min_degree + i + 1,) + d.shape + want))
         self.ring = ring
         self.min_degree = min_degree
         self.ranks = ranks
@@ -74,23 +78,16 @@ class FreeComplex:
 
 
 def validate_complex(f):
-    """Return a list of violations; empty means the complex is valid.
+    """Return a list of violations; empty means d.d == 0.
 
-    Reports every shape mismatch against the rank list and every adjacent
-    pair of differentials whose composition is nonzero, with the 0-based row
-    and column of its first nonzero entry (lowest column, then lowest row).
+    Reports every adjacent pair of differentials whose composition is
+    nonzero, with the 0-based row and column of its first nonzero entry
+    (lowest column, then lowest row).  Shapes need no check here:
+    `FreeComplex` accepts only differentials that fit its ranks.
     """
     problems = []
-    for i, d in enumerate(f.differentials):
-        k = f.min_degree + i + 1
-        want = (f.ranks[i], f.ranks[i + 1])
-        if (d.rows, d.cols) != want:
-            problems.append("d_%d has shape %dx%d, expected %dx%d"
-                            % (k, d.rows, d.cols, want[0], want[1]))
     for i in range(len(f.differentials) - 1):
         a, b = f.differentials[i], f.differentials[i + 1]
-        if a.cols != b.rows:
-            continue  # already reported as a shape mismatch
         for col, entries in enumerate(mat_mul(a, b).columns):
             if entries:
                 k = f.min_degree + i + 1
@@ -185,7 +182,7 @@ def complex_to_dict(f):
 
 def complex_from_dict(data):
     ring = ring_from_dict(data["ring"])
-    ranks = data["ranks"]
+    ranks = _array(data["ranks"], "ranks")
     differentials = _array(data["differentials"], "differentials")
     _check_terms(data["min_degree"], ranks, len(differentials))
     diffs = []

@@ -6,7 +6,9 @@ scalar is a plain Python number: over the rationals an int, or a Fraction
 when it is not an integer; over a prime field an int in [0, p).
 `CoefficientField.coerce` is the one way into the field, and polynomial
 arithmetic reduces its sums mod p and drops their zeros in one place,
-`reduce_terms`.  No floating point is used anywhere.
+`reduce_terms`.  Matrix products and Bareiss elimination both work on the
+stored sparse columns with the term-map kernel `add_product`,
+`reduce_terms` and `exact_quotient`.  No floating point is used anywhere.
 
     >>> R = PolyRing(RATIONALS, ("x", "y"))
     >>> x, y = R.gens()
@@ -16,7 +18,7 @@ arithmetic reduces its sums mod p and drops their zeros in one place,
 
 from fractions import Fraction
 import heapq
-from operator import add
+from operator import add, sub
 import random
 import re
 
@@ -261,33 +263,6 @@ class Polynomial:
             total += c
         return total if p is None else total % p
 
-    def leading(self):
-        """Leading (exponents, scalar) under descending lex; None for zero."""
-        if not self.terms:
-            return None
-        e = max(self.terms)
-        return e, self.terms[e]
-
-    def exact_divide(self, divisor):
-        """Return q with self == q * divisor, or raise if no exact quotient."""
-        self._check_ring(divisor)
-        if divisor.is_zero():
-            raise ZeroDivisionError("division by zero polynomial")
-        field = self.ring.field
-        lead_e, lead_c = divisor.leading()
-        inv = field.invert(lead_c)
-        rem = self
-        q = {}
-        while not rem.is_zero():
-            re, rc = rem.leading()
-            diff = tuple(a - b for a, b in zip(re, lead_e))
-            if any(d < 0 for d in diff):
-                raise ValueError("inexact polynomial division")
-            qc = field.coerce(rc * inv)
-            q[diff] = qc
-            rem = rem - Polynomial(self.ring, {diff: qc}) * divisor
-        return Polynomial(self.ring, q)
-
     def __str__(self):
         return format_polynomial(self)
 
@@ -320,6 +295,25 @@ def reduce_terms(field, acc):
     if p is None:
         return {e: c for e, c in acc.items() if c}
     return {e: c % p for e, c in acc.items() if c % p}
+
+
+def exact_quotient(field, num, den):
+    """The term map q with num == q * den, for term maps num and den != {}.
+
+    Long division under descending lex order of exponents; raises ValueError
+    when den does not divide num.
+    """
+    lead = max(den)
+    inv = field.invert(den[lead])
+    rem, q = dict(num), {}
+    while rem:
+        e = max(rem)
+        diff = tuple(map(sub, e, lead))
+        if any(d < 0 for d in diff):
+            raise ValueError("inexact polynomial division")
+        c = q[diff] = field.coerce(rem[e] * inv)
+        rem = reduce_terms(field, add_product(rem, {diff: -c}, den))
+    return q
 
 
 def _coerce_point(ring, point):
@@ -661,39 +655,38 @@ def mat_generic_rank(a, trials=3, seed=0):
 
 
 def mat_rank_exact(a, max_dim=64):
-    """Symbolic rank by fraction-free (Bareiss) elimination.
+    """Symbolic rank by fraction-free (Bareiss) elimination on the stored columns.
 
-    Entry growth makes this expensive on large matrices, so the dimension is
-    guarded; raise the guard deliberately if a bigger certificate is wanted.
+    Each column is read as {row: term map}.  A step takes the last column
+    and its lowest stored row as pivot, drops that column, and replaces every
+    other column c by (piv * c - c[row] * column) / prev, where prev is the
+    previous pivot: the division is exact (Bareiss, Math. Comp. 1968), and
+    an entry zero in both columns is never stored.  Entry growth makes this
+    expensive on large matrices, so the dimension is guarded; raise the
+    guard deliberately if a bigger certificate is wanted.
     """
     if max(a.rows, a.cols) > max_dim:
         raise ValueError("matrix exceeds Bareiss size guard (%d)" % max_dim)
-    m = a.entries
-    nrows, ncols = a.rows, a.cols
-    prev = a.ring.one()
+    field = a.ring.field
+    cols = [{i: p.terms for i, p in col.items()} for col in a.columns if col]
+    prev = {(0,) * a.ring.nvars: 1}
     rank = 0
-    for k in range(min(nrows, ncols)):
-        pivot = None
-        for i in range(rank, nrows):
-            for j in range(rank, ncols):
-                if not m[i][j].is_zero():
-                    pivot = (i, j)
-                    break
-            if pivot:
-                break
-        if pivot is None:
-            break
-        pi, pj = pivot
-        m[rank], m[pi] = m[pi], m[rank]
-        if pj != rank:
-            for row in m:
-                row[rank], row[pj] = row[pj], row[rank]
-        piv = m[rank][rank]
-        for i in range(rank + 1, nrows):
-            for j in range(rank + 1, ncols):
-                num = m[i][j] * piv - m[i][rank] * m[rank][j]
-                m[i][j] = num.exact_divide(prev)
-            m[i][rank] = a.ring.zero()
-        prev = piv
+    while cols:
+        column = cols.pop()
+        row = min(column)
+        piv = column.pop(row)
+        rest = []
+        for col in cols:
+            neg = {e: -c for e, c in col.pop(row, {}).items()}
+            out = {}
+            for i in col.keys() | column.keys():
+                acc = add_product({}, piv, col.get(i, {}))
+                add_product(acc, neg, column.get(i, {}))
+                terms = reduce_terms(field, acc)
+                if terms:
+                    out[i] = exact_quotient(field, terms, prev)
+            if out:
+                rest.append(out)
+        cols, prev = rest, piv
         rank += 1
     return rank

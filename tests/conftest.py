@@ -35,6 +35,43 @@ def generic_matrix_complex(nrows, ncols, field=RATIONALS):
     return FreeComplex(ring, 0, (nrows, ncols), (PolyMatrix(ring, rows),))
 
 
+def signed_permutations(n):
+    """Every signed permutation of n items, as (perm, signs)."""
+    for perm in itertools.permutations(range(n)):
+        for signs in itertools.product((1, -1), repeat=n):
+            yield perm, signs
+
+
+def apply_change(d, row_change, col_change):
+    """P_row^{-1} d P_col for signed permutation matrices."""
+    rperm, rsigns = row_change
+    cperm, csigns = col_change
+    ring = d.ring
+    out = [[None] * d.cols for _ in range(d.rows)]
+    for i in range(d.rows):
+        for j in range(d.cols):
+            p = d[rperm[i], cperm[j]]
+            if rsigns[i] * csigns[j] < 0:
+                p = ring.zero() - p
+            out[i][j] = p
+    return PolyMatrix(ring, out, shape=d.shape)
+
+
+def signed_perm_match(ours, reference):
+    """Whether (d2, d3) equals the reference pair up to signed permutations
+    of the three bases, the middle one shared."""
+    d2, d3 = ours
+    r2, r3 = reference
+    for ch1 in signed_permutations(2):
+        for ch2 in signed_permutations(4):
+            if apply_change(d2, ch1, ch2) != r2:
+                continue
+            for ch3 in signed_permutations(2):
+                if apply_change(d3, ch2, ch3) == r3:
+                    return True
+    return False
+
+
 def _random_poly(ring, rng):
     p = ring.zero()
     for _ in range(rng.randint(0, 2)):

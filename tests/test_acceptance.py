@@ -11,7 +11,8 @@ import time
 from fractions import Fraction
 from math import comb
 
-from conftest import generic_matrix_complex, partitions, random_three_term
+from conftest import (generic_matrix_complex, partitions, random_three_term,
+                      signed_perm_match)
 from schurcx import (GF, RATIONALS, FreeComplex, PolyMatrix, PolyRing,
                      Tableau, enumerate_standard, homology_ranks_at_point,
                      koszul_complex, mat_generic_rank, mat_rank_exact,
@@ -46,26 +47,6 @@ def test_exchange_relation_signs():
     assert time.monotonic() - start < 1.0
 
 
-def _signed_permutations(n):
-    for perm in itertools.permutations(range(n)):
-        for signs in itertools.product((1, -1), repeat=n):
-            yield perm, signs
-
-
-def _apply_change(d, row_change, col_change):
-    rperm, rsigns = row_change
-    cperm, csigns = col_change
-    ring = d.ring
-    out = [[None] * d.cols for _ in range(d.rows)]
-    for i in range(d.rows):
-        for j in range(d.cols):
-            p = d[rperm[i], cperm[j]]
-            if rsigns[i] * csigns[j] < 0:
-                p = ring.zero() - p
-            out[i][j] = p
-    return PolyMatrix(ring, out, shape=d.shape)
-
-
 def test_wedge_square_of_koszul_presentation():
     start = time.monotonic()
     ring = PolyRing(RATIONALS, ("x", "y"))
@@ -80,19 +61,7 @@ def test_wedge_square_of_koszul_presentation():
         ring, [["2*x", "0"], ["-y", "x"], ["0", "-2*y"], ["-y", "-x"]])
     d2, d3 = s.differential_from(2), s.differential_from(3)
 
-    matched = False
-    for ch1 in _signed_permutations(2):
-        for ch2 in _signed_permutations(4):
-            if _apply_change(d2, ch1, ch2) != ref_d2:
-                continue
-            for ch3 in _signed_permutations(2):
-                if _apply_change(d3, ch2, ch3) == ref_d3:
-                    matched = True
-                    break
-            if matched:
-                break
-        if matched:
-            break
+    matched = signed_perm_match((d2, d3), (ref_d2, ref_d3))
 
     # the fallback facts hold regardless of the search result
     assert validate_complex(s) == []

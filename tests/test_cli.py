@@ -379,6 +379,9 @@ def test_verify_reads_entries(tmp_path, capsys, entry, code):
     (["x", "y"], [1, 2], [["xy"]]),  # a row as a string
     (["x"], [1, 1], "x"),            # the list of differentials as a string
     (["x"], [1, 1], {"x": 1}),       # ... as an object
+    (["x"], "11", [[["x"]]]),        # ranks as a string
+    (["x"], {"a": 1, "b": 1}, [[["x"]]]),  # ... as an object
+    (["x"], 5, [[["x"]]]),           # ... as a number
 ])
 def test_verify_requires_arrays(tmp_path, capsys, variables, ranks,
                                 differentials):
@@ -446,6 +449,21 @@ def test_nonsquaring_input_complex_is_invalid(tmp_path, capsys):
 def test_wrong_point_arity_is_invalid(capsys, koszul_file):
     assert main(["homology", "--complex", koszul_file, "--point", "1"]) == 3
     assert "coordinates" in capsys.readouterr().err
+
+
+def test_empty_point_for_ring_without_variables(tmp_path, capsys, koszul_file):
+    data = {
+        "ring": {"coefficients": "QQ", "variables": []},
+        "min_degree": 0,
+        "ranks": [1, 1],
+        "differentials": [[["2"]]],
+    }
+    path = tmp_path / "constant.json"
+    path.write_text(json.dumps(data))
+    assert main(["homology", "--complex", str(path), "--point", ""]) == 0
+    assert capsys.readouterr().out.splitlines() == ["h_0 = 0", "h_1 = 0"]
+    assert main(["homology", "--complex", koszul_file, "--point", ""]) == 3
+    assert "point needs 2 coordinates" in capsys.readouterr().err
 
 
 def test_bad_coordinate_is_parse_error(capsys, koszul_file):

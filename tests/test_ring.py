@@ -1,5 +1,6 @@
 """Polynomial and matrix arithmetic over QQ and GF(p)."""
 
+import itertools
 import random
 import time
 from fractions import Fraction
@@ -8,8 +9,9 @@ import pytest
 
 from schurcx import (GF, RATIONALS, PolyMatrix, PolyRing, mat_generic_rank,
                      mat_rank_exact)
-from schurcx.ring import (Polynomial, format_polynomial, is_prime, mat_mul,
-                          mat_rank_at_point, parse_polynomial, scalar_rank)
+from schurcx.ring import (Polynomial, exact_quotient, format_polynomial, is_prime,
+                          mat_mul, mat_rank_at_point, parse_polynomial,
+                          scalar_rank)
 
 
 @pytest.fixture
@@ -273,12 +275,62 @@ def test_generic_rank_permutation_invariant(qq_xy):
     assert mat_generic_rank(a.transpose()) == base
 
 
+def _minor_rank(a):
+    """Largest k with a nonzero k x k minor, minors by Laplace expansion."""
+    memo = {}
+
+    def minor(rows, cols):
+        if not rows:
+            return a.ring.one()
+        if (rows, cols) not in memo:
+            total = a.ring.zero()
+            for k, c in enumerate(cols):
+                term = a[rows[0], c] * minor(rows[1:], cols[:k] + cols[k + 1:])
+                total = total + (term if k % 2 == 0 else -term)
+            memo[rows, cols] = total
+        return memo[rows, cols]
+
+    return max(k for k in range(min(a.shape) + 1)
+               for rows in itertools.combinations(range(a.rows), k)
+               for cols in itertools.combinations(range(a.cols), k)
+               if not minor(rows, cols).is_zero())
+
+
+def _random_dependent(ring, rng, nrows, ncols):
+    """Random rows whose columns often repeat, vanish or combine others."""
+    rows = [[_random(ring, rng) for _ in range(ncols)] for _ in range(nrows)]
+    for j in range(ncols):
+        kind = rng.random()
+        if kind < 0.15:
+            for row in rows:
+                row[j] = ring.zero()
+        elif kind < 0.45 and ncols > 2:
+            a, b = rng.sample([k for k in range(ncols) if k != j], 2)
+            c = _random(ring, rng)
+            for row in rows:
+                row[j] = row[a] - c * row[b]
+    return PolyMatrix(ring, rows, shape=(nrows, ncols))
+
+
 def test_exact_rank_agrees_with_generic(qq_xy):
     rng = random.Random(21)
     for _ in range(8):
         rows = [[_random(qq_xy, rng) for _ in range(3)] for _ in range(4)]
         a = PolyMatrix(qq_xy, rows)
         assert mat_rank_exact(a) == mat_generic_rank(a)
+    for field in (RATIONALS, GF(2), GF(7)):
+        for variables in (("x", "y"), ()):
+            ring = PolyRing(field, variables)
+            for _ in range(12):
+                a = _random_dependent(ring, rng, rng.randint(1, 6),
+                                      rng.randint(1, 6))
+                rank = mat_rank_exact(a)
+                assert rank == _minor_rank(a)
+                assert rank == mat_rank_exact(a.transpose())
+                # a random point may lose rank only over a finite field
+                generic = mat_generic_rank(a)
+                assert (generic == rank if field.is_rational or not variables
+                        else generic <= rank)
 
 
 def test_exact_rank_catches_hidden_dependency(qq_xy):
@@ -293,6 +345,23 @@ def test_exact_rank_size_guard(qq_xy):
     big = PolyMatrix.zero(qq_xy, 70, 70)
     with pytest.raises(ValueError):
         mat_rank_exact(big, max_dim=64)
+
+
+def test_exact_quotient():
+    for field in (RATIONALS, GF(7)):
+        ring = PolyRing(field, ("x", "y"))
+
+        def quotient(num, den):
+            terms = exact_quotient(field, ring.parse(num).terms,
+                                   ring.parse(den).terms)
+            return Polynomial(ring, terms)
+
+        assert quotient("x^2 - y^2", "x - y") == ring.parse("x + y")
+        assert quotient("6*x^2*y + 4*x", "2*x") == ring.parse("3*x*y + 2")
+        assert quotient("0", "2*x") == ring.zero()
+        for num, den in (("x", "y"), ("x + 1", "x"), ("x^2", "2*x*y")):
+            with pytest.raises(ValueError, match="inexact"):
+                quotient(num, den)
 
 
 def test_scalar_rank_gf():

@@ -1,12 +1,11 @@
 """Schur complex assembly: gradings, differentials, classical cases."""
 
-import itertools
 from math import comb
 
 import pytest
 
 from conftest import (canonical_columns, generic_matrix_complex, partitions,
-                      random_three_term)
+                      random_three_term, signed_perm_match)
 from schurcx import (GF, RATIONALS, FreeComplex, PolyMatrix, PolyRing,
                      SchurBasis, Tableau, enumerate_standard, exterior_power,
                      koszul_complex, schur_complex, symmetric_power,
@@ -67,42 +66,8 @@ def test_exterior_square_matches_printed_matrices(koszul_xy):
         ring, [["y", "x", "0", "x"], ["0", "y", "x", "-y"]])
     ref_d3 = PolyMatrix.from_strings(
         ring, [["2*x", "0"], ["-y", "x"], ["0", "-2*y"], ["-y", "-x"]])
-    assert _signed_perm_match(
+    assert signed_perm_match(
         (s.differential_from(2), s.differential_from(3)), (ref_d2, ref_d3))
-
-
-def _signed_permutations(n):
-    for perm in itertools.permutations(range(n)):
-        for signs in itertools.product((1, -1), repeat=n):
-            yield perm, signs
-
-
-def _apply_change(d, row_change, col_change):
-    """P_row^{-1} d P_col for signed permutation matrices."""
-    rperm, rsigns = row_change
-    cperm, csigns = col_change
-    ring = d.ring
-    out = [[None] * d.cols for _ in range(d.rows)]
-    for i in range(d.rows):
-        for j in range(d.cols):
-            p = d[rperm[i], cperm[j]]
-            if rsigns[i] * csigns[j] < 0:
-                p = ring.zero() - p
-            out[i][j] = p
-    return PolyMatrix(ring, out, shape=d.shape)
-
-
-def _signed_perm_match(ours, reference):
-    d2, d3 = ours
-    r2, r3 = reference
-    for ch1 in _signed_permutations(2):
-        for ch2 in _signed_permutations(4):
-            if _apply_change(d2, ch1, ch2) != r2:
-                continue
-            for ch3 in _signed_permutations(2):
-                if _apply_change(d3, ch2, ch3) == r3:
-                    return True
-    return False
 
 
 def test_sym3_generic_2x4():
