@@ -9,8 +9,8 @@ the source basis, rows by the target basis, i.e. d sends degree k to k-1.
 import itertools
 import json
 
-from .ring import (CoefficientField, PolyRing, PolyMatrix, RATIONALS, mat_mul,
-                   scalar_rank)
+from .ring import (CoefficientField, PolyRing, PolyMatrix, RATIONALS,
+                   _coerce_point, mat_mul, scalar_rank)
 
 
 def _check_terms(min_degree, ranks, count):
@@ -140,7 +140,12 @@ def homology_from_ranks(f, d_ranks):
 
 
 def homology_ranks_at_point(f, point):
-    """Homology ranks of the complex specialized at a point, low degree first."""
+    """Homology ranks of the complex specialized at a point, low degree first.
+
+    The point is checked once, before the differentials, so a complex with
+    none still rejects a point that does not fit its ring.
+    """
+    point = _coerce_point(f.ring, point)
     field = f.ring.field
     return homology_from_ranks(
         f, [scalar_rank(field, d.evaluate(point)) for d in f.differentials])

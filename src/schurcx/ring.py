@@ -8,7 +8,11 @@ when it is not an integer; over a prime field an int in [0, p).
 arithmetic reduces its sums mod p and drops their zeros in one place,
 `reduce_terms`.  Matrix products and Bareiss elimination both work on the
 stored sparse columns with the term-map kernel `add_product`,
-`reduce_terms` and `exact_quotient`.  No floating point is used anywhere.
+`reduce_terms` and `exact_quotient`.  Ranks at a given point are exact.
+Generic ranks (`mat_generic_rank`) are Monte Carlo lower bounds; over the
+rationals each random specialization is reduced modulo a random prime in
+[2^30, 2^31) and ranked there, since the rank mod a prime is at most the
+rank over QQ.  No floating point is used anywhere.
 
     >>> R = PolyRing(RATIONALS, ("x", "y"))
     >>> x, y = R.gens()
@@ -637,20 +641,60 @@ def mat_rank_at_point(a, point):
     return scalar_rank(a.ring.field, a.evaluate(point))
 
 
-def mat_generic_rank(a, trials=3, seed=0):
-    """Monte Carlo generic rank: max rank over random integer specializations.
+def random_prime(rng):
+    """A prime drawn from [2^30, 2^31) with the random.Random rng."""
+    while True:
+        q = rng.randrange(1 << 30, 1 << 31)
+        if is_prime(q):
+            return q
 
-    Coordinates are drawn uniformly from [1, 2^20] with a seeded RNG, so the
-    result is reproducible.  The returned value is a lower bound on the true
-    generic rank that is correct with high probability (Schwartz-Zippel).
+
+def _mod_random_prime(columns, rng):
+    """(GF(q), columns reduced mod q) for the first prime q that rng draws
+    and that divides no denominator of the rational columns."""
+    while True:
+        field = GF(random_prime(rng))
+        try:
+            return field, [{i: field.coerce(v) for i, v in col.items()}
+                           for col in columns]
+        except ValueError:  # q divides a denominator
+            continue
+
+
+def mat_generic_rank(a, trials=3, seed=0):
+    """Monte Carlo generic rank: the largest rank over random specializations.
+
+    Each trial draws a point with coordinates uniform in [1, 2^20] from an
+    RNG seeded with `seed`, so the result is reproducible.  Over GF(p) the
+    trial ranks the matrix at that point.  Over QQ it reduces the values at
+    the point modulo a fresh prime q from `random_prime` (drawing again if q
+    divides a denominator) and ranks them over GF(q).  The trials stop once
+    the rank is min(rows, cols), which no trial can exceed.
+
+    The result is a lower bound on the generic rank: a minor that is
+    nonzero mod q is nonzero at the point, and one that is nonzero at the
+    point is a nonzero polynomial.  Over QQ the bound is reached unless
+    every trial picks a root of a nonzero maximal minor (chance at most its
+    degree over 2^20, by Schwartz-Zippel) or a q dividing its value (a value
+    of b bits has at most b/30 of the ~5*10^7 primes in the range as
+    factors).  Over a small prime field it can stay below: coordinates are
+    taken mod p, so over GF(2) `[[x^2 + x]]` ranks 0 at every point.
     """
+    if type(trials) is not int:  # not float, not bool
+        raise ValueError("trials must be an integer, got %r" % (trials,))
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    full = min(a.rows, a.cols)
     rng = random.Random(seed)
     best = 0
     for _ in range(trials):
         point = [rng.randint(1, 1 << 20) for _ in range(a.ring.nvars)]
-        best = max(best, mat_rank_at_point(a, point))
+        field, values = a.ring.field, a.evaluate(point)
+        if field.is_rational:
+            field, values = _mod_random_prime(values, rng)
+        best = max(best, scalar_rank(field, values))
+        if best == full:
+            break
     return best
 
 

@@ -2,6 +2,7 @@
 
 import json
 import random
+import re
 
 import pytest
 
@@ -10,6 +11,7 @@ from schurcx import (GF, RATIONALS, FreeComplex, PolyMatrix, PolyRing,
                      homology_ranks_at_point, koszul_complex, save_complex,
                      validate_complex)
 from schurcx.complexes import complex_from_dict, complex_to_dict, load_complex
+from schurcx.ring import _coerce_point
 from schurcx.schur import SchurBasis
 
 
@@ -136,6 +138,16 @@ def test_homology_zero_differentials():
     ring = PolyRing(RATIONALS, ("x",))
     f = FreeComplex(ring, 0, (2, 5), (PolyMatrix.zero(ring, 2, 5),))
     assert homology_ranks_at_point(f, (3,)) == [2, 5]
+
+
+@pytest.mark.parametrize("point", [[1], ["a", "b", "c"], ["a", "b"]])
+def test_homology_checks_point_without_differentials(point):
+    f = FreeComplex(PolyRing(RATIONALS, ("x", "y")), 0, (3,), ())
+    with pytest.raises(ValueError) as want:
+        _coerce_point(f.ring, point)
+    with pytest.raises(ValueError, match=re.escape(str(want.value))):
+        homology_ranks_at_point(f, point)
+    assert homology_ranks_at_point(f, (1, 2)) == [3]
 
 
 def test_euler_characteristic_invariance():

@@ -6,12 +6,15 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from conftest import generic_matrix_complex
 from schurcx import (GF, RATIONALS, PolyMatrix, PolyRing, mat_generic_rank,
-                     mat_rank_exact)
+                     mat_rank_exact, schur_complex)
+import schurcx.ring
 from schurcx.ring import (Polynomial, exact_quotient, format_polynomial, is_prime,
                           mat_mul, mat_rank_at_point, parse_polynomial,
-                          scalar_rank)
+                          random_prime, scalar_rank)
 
 
 @pytest.fixture
@@ -273,6 +276,100 @@ def test_generic_rank_permutation_invariant(qq_xy):
     assert mat_generic_rank(perm_rows) == base
     assert mat_generic_rank(shuffled) == base
     assert mat_generic_rank(a.transpose()) == base
+
+
+def _first_prime(seed, nvars):
+    """The prime of the first trial of mat_generic_rank(a, seed=seed) over QQ."""
+    rng = random.Random(seed)
+    for _ in range(nvars):
+        rng.randint(1, 1 << 20)
+    return random_prime(rng)
+
+
+def test_random_prime_range():
+    rng = random.Random(3)
+    for _ in range(20):
+        q = random_prime(rng)
+        assert 1 << 30 <= q < 1 << 31 and is_prime(q)
+
+
+def test_generic_rank_coefficient_divisible_by_prime():
+    ring = PolyRing(RATIONALS, ("x",))
+    q = _first_prime(0, 1)
+    a = PolyMatrix(ring, [[ring.constant(q) * ring.variable("x")]])
+    # q*x vanishes mod q: the first trial is a lower bound, a fresh q lifts it
+    assert mat_generic_rank(a, trials=1) == 0
+    assert mat_generic_rank(a, trials=2) == 1
+
+
+def test_generic_rank_denominator_equal_to_prime():
+    ring = PolyRing(RATIONALS, ("x",))
+    q = _first_prime(0, 1)
+    a = PolyMatrix(ring, [[ring.constant(Fraction(1, q)) * ring.variable("x")]])
+    assert mat_generic_rank(a, trials=1) == 1
+
+
+def test_generic_rank_small_field_stays_below():
+    ring = PolyRing(GF(2), ("x",))
+    x = ring.variable("x")
+    assert mat_generic_rank(PolyMatrix(ring, [[x * x + x]]), trials=5) == 0
+
+
+def test_generic_rank_stops_at_full_rank(monkeypatch, qq_xy):
+    calls = []
+    rank = schurcx.ring.scalar_rank
+    monkeypatch.setattr(schurcx.ring, "scalar_rank",
+                        lambda *args: calls.append(1) or rank(*args))
+    x, y = qq_xy.gens()
+    assert mat_generic_rank(PolyMatrix(qq_xy, [[x, y], [y, x]]), trials=3) == 2
+    assert len(calls) == 1
+    assert mat_generic_rank(PolyMatrix(qq_xy, [[x, y], [x, y]]), trials=3) == 1
+    assert len(calls) == 4
+
+
+@pytest.mark.parametrize("trials", [True, 2.5, "3", None])
+def test_generic_rank_trials_must_be_int(qq_xy, trials):
+    with pytest.raises(ValueError, match="trials must be an integer"):
+        mat_generic_rank(PolyMatrix.zero(qq_xy, 1, 1), trials=trials)
+    with pytest.raises(ValueError, match="trials must be >= 1"):
+        mat_generic_rank(PolyMatrix.zero(qq_xy, 1, 1), trials=0)
+
+
+def test_generic_ranks_of_schur_of_generic_two_by_five():
+    s = schur_complex((2, 2, 1), generic_matrix_complex(2, 5))
+    assert [mat_generic_rank(d, trials=1) for d in s.differentials] == [
+        5, 45, 150, 160]
+
+
+# integers past the prime range and fractions with large denominators
+_SCALARS = st.one_of(
+    st.integers(-5, 5),
+    st.integers(1 << 31, 1 << 80),
+    st.integers(-(1 << 80), -(1 << 31)),
+    st.fractions(min_value=-(1 << 40), max_value=1 << 40,
+                 max_denominator=1 << 40))
+_TERMS = st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 2)),
+                         _SCALARS, max_size=3)
+
+
+@st.composite
+def _qq_matrices(draw):
+    """Small matrices over QQ[x, y]; a column may combine the two before it."""
+    ring = PolyRing(RATIONALS, ("x", "y"))
+    nrows, ncols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    cols = [[ring.polynomial(draw(_TERMS)) for _ in range(nrows)]
+            for _ in range(ncols)]
+    for j in range(2, ncols):
+        if draw(st.booleans()):
+            c = ring.polynomial(draw(_TERMS))
+            cols[j] = [p + c * q for p, q in zip(cols[j - 2], cols[j - 1])]
+    return PolyMatrix(ring, zip(*cols), shape=(nrows, ncols))
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(_qq_matrices())
+def test_generic_rank_mod_prime_matches_bareiss(a):
+    assert mat_generic_rank(a, trials=2) == mat_rank_exact(a)
 
 
 def _minor_rank(a):
