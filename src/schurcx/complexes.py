@@ -143,7 +143,8 @@ def homology_ranks_at_point(f, point):
     """Homology ranks of the complex specialized at a point, low degree first.
 
     The point is checked once, before the differentials, so a complex with
-    none still rejects a point that does not fit its ring.
+    none still rejects a point that does not fit its ring.  Over QQ an entry
+    whose value would exceed `ring.MAX_VALUE_BITS` raises ValueError.
     """
     point = _coerce_point(f.ring, point)
     field = f.ring.field

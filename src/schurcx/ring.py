@@ -8,11 +8,13 @@ when it is not an integer; over a prime field an int in [0, p).
 arithmetic reduces its sums mod p and drops their zeros in one place,
 `reduce_terms`.  Matrix products and Bareiss elimination both work on the
 stored sparse columns with the term-map kernel `add_product`,
-`reduce_terms` and `exact_quotient`.  Ranks at a given point are exact.
-Generic ranks (`mat_generic_rank`) are Monte Carlo lower bounds; over the
-rationals each random specialization is reduced modulo a random prime in
-[2^30, 2^31) and ranked there, since the rank mod a prime is at most the
-rank over QQ.  No floating point is used anywhere.
+`reduce_terms` and `exact_quotient`.  Ranks at a given point are exact;
+over the rationals a value whose size estimate exceeds `MAX_VALUE_BITS`
+bits is refused before it is computed.  Generic ranks (`mat_generic_rank`)
+are Monte Carlo lower bounds; over the rationals each random specialization
+is evaluated modulo a random prime in [2^30, 2^31) and ranked there, since
+the rank mod a prime is at most the rank over QQ.  No floating point is
+used anywhere.
 
     >>> R = PolyRing(RATIONALS, ("x", "y"))
     >>> x, y = R.gens()
@@ -22,7 +24,7 @@ rank over QQ.  No floating point is used anywhere.
 
 from fractions import Fraction
 import heapq
-from operator import add, sub
+from operator import add, mul, sub
 import random
 import re
 
@@ -31,6 +33,9 @@ _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 # correct below it (Sorenson and Webster, Math. Comp. 2017) and wrong on it.
 _MR_BOUND = 3317044064679887385961981
 _NAME = r"[^\W\d]\w*"  # a variable name: a word that does not start with a digit
+# The largest size, in bits, that one term of an exact rational value may
+# reach (8 KB); x^99999999999 at the point 2 would need 10^11 bits.
+MAX_VALUE_BITS = 1 << 16
 
 
 def is_prime(n):
@@ -187,7 +192,12 @@ class PolyRing:
 
 
 class Polynomial:
-    """Immutable sparse polynomial; term map never stores a zero scalar."""
+    """Immutable sparse polynomial; term map never stores a zero scalar.
+
+    No code mutates `.terms` in place after construction: every operation
+    builds a new term map.  `PolyMatrix.from_strings` relies on this when it
+    shares one Polynomial among all entries with the same text.
+    """
 
     __slots__ = ("ring", "terms")
 
@@ -253,14 +263,23 @@ class Polynomial:
         return hash((self.ring, frozenset(self.terms.items())))
 
     def evaluate(self, point):
-        """Evaluate at a point (one scalar per ring variable), exactly."""
-        return self._value_at(_coerce_point(self.ring, point))
+        """Evaluate at a point (one scalar per ring variable), exactly.
 
-    def _value_at(self, point):
-        """Value at a point whose coordinates are already field scalars."""
-        p = self.ring.field.p
+        Over QQ a term whose value would exceed MAX_VALUE_BITS raises
+        ValueError before anything is computed.
+        """
+        return self._value_at(_coerce_point(self.ring, point), self.ring.field)
+
+    def _value_at(self, point, field):
+        """Value at a point of scalars of field: the ring's field or, over
+        QQ, a GF(q) that each coefficient is taken into first."""
+        p = field.p
+        if p is None:
+            _check_value_size(self.terms, point)
         total = 0
         for exps, c in self.terms.items():
+            if p is not None:
+                c = field.coerce(c)
             for x, e in zip(point, exps):
                 if e:
                     c = c * x ** e if p is None else c * pow(x, e, p) % p
@@ -318,6 +337,19 @@ def exact_quotient(field, num, den):
         c = q[diff] = field.coerce(rem[e] * inv)
         rem = reduce_terms(field, add_product(rem, {diff: -c}, den))
     return q
+
+
+def _check_value_size(terms, point):
+    """Raise ValueError when a term at the rational point may exceed
+    MAX_VALUE_BITS: x^e adds e times the bit length of max(|num x|, den x),
+    and 0 and +-1 add nothing."""
+    sizes = [0 if x in (0, 1, -1)
+             else max(abs(x.numerator), x.denominator).bit_length()
+             for x in point]
+    for exps in terms:
+        if sum(map(mul, exps, sizes)) > MAX_VALUE_BITS:
+            raise ValueError("the value at the point would exceed %d bits, the "
+                             "bound for exact evaluation" % MAX_VALUE_BITS)
 
 
 def _coerce_point(ring, point):
@@ -465,12 +497,22 @@ class PolyMatrix:
 
     @classmethod
     def from_strings(cls, ring, rows, shape=None):
-        """Parse rows of polynomial text, storing only the nonzero entries."""
+        """Parse rows of polynomial text, storing only the nonzero entries.
+
+        Each distinct str is parsed once and its entries share the result;
+        any other entry goes to `parse_polynomial` as it is, and fails there.
+        """
         rows = list(rows)
         m = cls.zero(ring, *_shape(rows, shape))
+        parsed = {}
         for i, row in enumerate(rows):
             for col, text in zip(m.columns, row):
-                p = parse_polynomial(ring, text)
+                if isinstance(text, str):
+                    p = parsed.get(text)
+                    if p is None:
+                        p = parsed[text] = parse_polynomial(ring, text)
+                else:
+                    p = parse_polynomial(ring, text)
                 if p.terms:
                     col[i] = p
         return m
@@ -520,10 +562,14 @@ class PolyMatrix:
         """The matrix specialized at a point, as sparse columns.
 
         One dict {row: field scalar} per column, holding the value of each
-        stored entry; a value may be zero.
+        stored entry; a value may be zero.  Over QQ an entry whose value
+        would exceed MAX_VALUE_BITS raises ValueError.
         """
-        point = _coerce_point(self.ring, point)
-        return [{i: p._value_at(point) for i, p in col.items()}
+        return self._values_at(_coerce_point(self.ring, point), self.ring.field)
+
+    def _values_at(self, point, field):
+        """`evaluate` at a point of field scalars; see `Polynomial._value_at`."""
+        return [{i: p._value_at(point, field) for i, p in col.items()}
                 for col in self.columns]
 
     def to_strings(self):
@@ -649,14 +695,13 @@ def random_prime(rng):
             return q
 
 
-def _mod_random_prime(columns, rng):
-    """(GF(q), columns reduced mod q) for the first prime q that rng draws
-    and that divides no denominator of the rational columns."""
+def _values_mod_random_prime(a, point, rng):
+    """(GF(q), the rational matrix a at point evaluated mod q) for the first
+    prime q that rng draws and that divides no coefficient denominator."""
     while True:
         field = GF(random_prime(rng))
         try:
-            return field, [{i: field.coerce(v) for i, v in col.items()}
-                           for col in columns]
+            return field, a._values_at([field.coerce(x) for x in point], field)
         except ValueError:  # q divides a denominator
             continue
 
@@ -666,10 +711,12 @@ def mat_generic_rank(a, trials=3, seed=0):
 
     Each trial draws a point with coordinates uniform in [1, 2^20] from an
     RNG seeded with `seed`, so the result is reproducible.  Over GF(p) the
-    trial ranks the matrix at that point.  Over QQ it reduces the values at
-    the point modulo a fresh prime q from `random_prime` (drawing again if q
-    divides a denominator) and ranks them over GF(q).  The trials stop once
-    the rank is min(rows, cols), which no trial can exceed.
+    trial ranks the matrix at that point.  Over QQ it draws a fresh prime q
+    from `random_prime` with the same RNG, reduces the point and the
+    coefficients mod q (drawing again if q divides a denominator), evaluates
+    there with modular powers, so no exact value is ever formed, and ranks
+    the values over GF(q).  The trials stop once the rank is
+    min(rows, cols), which no trial can exceed.
 
     The result is a lower bound on the generic rank: a minor that is
     nonzero mod q is nonzero at the point, and one that is nonzero at the
@@ -689,9 +736,10 @@ def mat_generic_rank(a, trials=3, seed=0):
     best = 0
     for _ in range(trials):
         point = [rng.randint(1, 1 << 20) for _ in range(a.ring.nvars)]
-        field, values = a.ring.field, a.evaluate(point)
-        if field.is_rational:
-            field, values = _mod_random_prime(values, rng)
+        if a.ring.field.is_rational:
+            field, values = _values_mod_random_prime(a, point, rng)
+        else:
+            field, values = a.ring.field, a.evaluate(point)
         best = max(best, scalar_rank(field, values))
         if best == full:
             break

@@ -170,6 +170,51 @@ def test_verify_huge_exponent_is_fast(tmp_path, capsys):
     assert time.monotonic() - start < 2.0
 
 
+def _huge_exponent_file(tmp_path, field):
+    data = {
+        "ring": {"coefficients": "QQ" if field == "QQ" else {"p": 32003},
+                 "variables": ["x"]},
+        "min_degree": 0,
+        "ranks": [1, 1],
+        "differentials": [[["x^99999999999"]]],
+    }
+    path = tmp_path / "power.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+@pytest.mark.parametrize("field", ["QQ", "GF"])
+def test_ranks_huge_exponent_is_fast(tmp_path, capsys, field):
+    path = _huge_exponent_file(tmp_path, field)
+    start = time.monotonic()
+    assert main(["ranks", "--complex", path]) == 0
+    assert capsys.readouterr().out == (
+        "degrees 0..1, ranks 1 1\nrank d_1 = 1\nh_0 = 0\nh_1 = 0\n")
+    assert time.monotonic() - start < 2.0
+
+
+@pytest.mark.parametrize("field, point, h", [
+    # h is the homology rank in degrees 0 and 1; None: the value is too big
+    ("QQ", "2", None), ("QQ", "1/2", None), ("QQ", "-3", None),
+    ("QQ", "1", 0), ("QQ", "-1", 0), ("QQ", "2/2", 0), ("QQ", "0", 1),
+    ("GF", "2", 0), ("GF", "1/2", 0),
+])
+def test_homology_huge_exponent_is_fast(tmp_path, capsys, field, point, h):
+    path = _huge_exponent_file(tmp_path, field)
+    start = time.monotonic()
+    code = main(["homology", "--complex", path, "--point", point])
+    captured = capsys.readouterr()
+    if h is None:
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err == ("the value at the point would exceed 65536 bits, "
+                                "the bound for exact evaluation\n")
+    else:
+        assert code == 0
+        assert captured.out == "h_0 = %d\nh_1 = %d\n" % (h, h)
+    assert time.monotonic() - start < 2.0
+
+
 def test_schur_identity_shape_returns_input(tmp_path, capsys, koszul_file):
     out = tmp_path / "same.json"
     assert main(["schur", "--complex", koszul_file, "--shape", "1",
@@ -356,21 +401,39 @@ def test_fractional_min_degree_is_invalid(tmp_path, capsys, koszul_file):
         assert key in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("entry, code", [
-    (5, 2), (None, 2), ([], 2), ([5], 2),
-    ("x +", 3), ("x^", 3), ("1/0", 3), ("w", 3),
+NOT_TEXT = "bad complex file {}: expected string or bytes-like object, got %r"
+BAD_TEXT = "invalid complex in {}: %s"
+
+
+@pytest.mark.parametrize("row, code, message", [
+    pytest.param([5], 2, NOT_TEXT % "int", id="5-2"),
+    pytest.param([None], 2, NOT_TEXT % "NoneType", id="None-2"),
+    pytest.param([[]], 2, NOT_TEXT % "list", id="entry2-2"),
+    pytest.param([[5]], 2, NOT_TEXT % "list", id="entry3-2"),
+    pytest.param(["x +"], 3, BAD_TEXT % "malformed polynomial 'x +'", id="x +-3"),
+    pytest.param(["x^"], 3, BAD_TEXT % "malformed polynomial 'x^'", id="x^-3"),
+    pytest.param(["1/0"], 3, BAD_TEXT % "zero denominator", id="1/0-3"),
+    pytest.param(["w"], 3, BAD_TEXT % "unknown variable 'w'", id="w-3"),
+    # the bad entry after an identical or a valid one
+    pytest.param(["x", "x +", "x +"], 3, BAD_TEXT % "malformed polynomial 'x +'",
+                 id="x,x +,x +-3"),
+    pytest.param(["1/0", "1/0"], 3, BAD_TEXT % "zero denominator", id="1/0,1/0-3"),
+    pytest.param(["x", 5], 2, NOT_TEXT % "int", id="x,5-2"),
+    pytest.param(["x", []], 2, NOT_TEXT % "list", id="x,entry-2"),
 ])
-def test_verify_reads_entries(tmp_path, capsys, entry, code):
+def test_verify_reads_entries(tmp_path, capsys, row, code, message):
     data = {
         "ring": {"coefficients": "QQ", "variables": ["x"]},
         "min_degree": 0,
-        "ranks": [1, 1],
-        "differentials": [[[entry]]],
+        "ranks": [1, len(row)],
+        "differentials": [[row]],
     }
     path = tmp_path / "entry.json"
     path.write_text(json.dumps(data))
     assert main(["verify", "--complex", str(path)]) == code
-    assert capsys.readouterr().out == ""
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == message.format(path) + "\n"
 
 
 @pytest.mark.parametrize("variables, ranks, differentials", [

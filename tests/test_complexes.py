@@ -10,9 +10,10 @@ from conftest import random_three_term
 from schurcx import (GF, RATIONALS, FreeComplex, PolyMatrix, PolyRing,
                      homology_ranks_at_point, koszul_complex, save_complex,
                      validate_complex)
+import schurcx.ring
 from schurcx.complexes import complex_from_dict, complex_to_dict, load_complex
 from schurcx.ring import _coerce_point
-from schurcx.schur import SchurBasis
+from schurcx.schur import SchurBasis, schur_complex
 
 
 @pytest.fixture
@@ -184,6 +185,20 @@ def test_json_round_trip_gf():
     assert d["ring"]["coefficients"] == {"p": 5}
     g = complex_from_dict(d)
     assert g.ring == f.ring and g.differentials == f.differentials
+
+
+def test_from_dict_parses_each_text_once(monkeypatch, koszul_xy):
+    d = complex_to_dict(schur_complex((2, 1), koszul_xy))
+    calls = []
+    parse = schurcx.ring.parse_polynomial
+    monkeypatch.setattr(schurcx.ring, "parse_polynomial",
+                        lambda ring, text: calls.append(text) or parse(ring, text))
+    f = complex_from_dict(d)
+    distinct = sum(len({t for row in rows for t in row}) for rows in d["differentials"])
+    entries = sum(len(row) for rows in d["differentials"] for row in rows)
+    assert distinct < entries
+    assert len(calls) <= distinct
+    assert complex_to_dict(f) == d
 
 
 def test_from_dict_validates_shapes():

@@ -584,3 +584,30 @@ def test_matrix_constructor_rejects_bad_entries(qq_xy):
         PolyMatrix(qq_xy, [[x, other.variable("x")]])
     with pytest.raises(ValueError):
         PolyMatrix(qq_xy, [[x, 1]])
+
+
+@pytest.mark.parametrize("field", [RATIONALS, GF(7)])
+def test_shared_entries_are_never_mutated(field):
+    ring = PolyRing(field, ("x", "y"))
+    texts = [["x - y", "x - y", "0", "1/3*x^2"],
+             ["1/3*x^2", "x - y", "y", "0"],
+             ["y", "1/3*x^2", "x - y", "y + 2"]]
+    a = PolyMatrix.from_strings(ring, texts)
+    assert a[0, 0] is a[0, 1] is a[1, 1] is a[2, 2]
+    b = a.transpose()
+    mat_mul(a, b)
+    mat_mul(b, a)
+    a.evaluate((2, Fraction(1, 3)))
+    b.evaluate((0, 5))
+    mat_rank_exact(a)
+    mat_rank_exact(b)
+    mat_generic_rank(a, trials=2)
+    mat_generic_rank(b, trials=2)
+    p, q = a[0, 0], a[0, 3]
+    for r in (p + q, p - q, p * q, -p, p ** 3, p + 1, 2 * q, 1 - p, p * p - q):
+        assert r.ring == ring
+    assert p != q and hash(p) == hash(a[2, 2])
+    for i, row in enumerate(texts):
+        for j, text in enumerate(row):
+            assert a[i, j].terms == parse_polynomial(ring, text).terms
+            assert b[j, i].terms == parse_polynomial(ring, text).terms
