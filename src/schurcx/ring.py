@@ -36,6 +36,10 @@ _NAME = r"[^\W\d]\w*"  # a variable name: a word that does not start with a digi
 # The largest size, in bits, that one term of an exact rational value may
 # reach (8 KB); x^99999999999 at the point 2 would need 10^11 bits.
 MAX_VALUE_BITS = 1 << 16
+# The most trials `mat_generic_rank` runs.  Only a full rank stops the trials
+# early, so on a rank-deficient matrix every trial runs; past a few the bound
+# hardly improves (see its docstring), while the time grows without end.
+MAX_TRIALS = 100
 
 
 def is_prime(n):
@@ -716,7 +720,8 @@ def mat_generic_rank(a, trials=3, seed=0):
     coefficients mod q (drawing again if q divides a denominator), evaluates
     there with modular powers, so no exact value is ever formed, and ranks
     the values over GF(q).  The trials stop once the rank is
-    min(rows, cols), which no trial can exceed.
+    min(rows, cols), which no trial can exceed.  More than MAX_TRIALS
+    trials raises ValueError.
 
     The result is a lower bound on the generic rank: a minor that is
     nonzero mod q is nonzero at the point, and one that is nonzero at the
@@ -731,6 +736,8 @@ def mat_generic_rank(a, trials=3, seed=0):
         raise ValueError("trials must be an integer, got %r" % (trials,))
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if trials > MAX_TRIALS:
+        raise ValueError("trials must be at most %d, got %d" % (MAX_TRIALS, trials))
     full = min(a.rows, a.cols)
     rng = random.Random(seed)
     best = 0

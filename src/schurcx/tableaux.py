@@ -16,7 +16,9 @@ stands for a vector in the c_i-th exterior power of the underlying complex
 
 Non-standard tableaux are rewritten into standard ones by `straighten`,
 which repeatedly eliminates the topmost, leftmost row violation using the
-quadratic relations between adjacent columns (`theta_expand`).
+quadratic relations between adjacent columns (`theta_expand`).  That
+relation rewrites only the violating pair of columns, so it is looked up by
+the pair (`_exchange`).
 
 Sign conventions: every column sign is the sign of one signed sort
 (`_signed_sort`, behind `normalize_column`), which sorts letters by adjacent
@@ -28,8 +30,26 @@ C(a + b, b) for each odd letter that x holds a times and y b times, and
 `wedge_coproduct` splits a column into each distinct sub-multiset and its
 complement, signed by sorting the two back into the column.
 
+    >>> column_product((-1,), (-1,))
+    ((-1, -1), 2)
+    >>> column_product((2,), (1,))
+    ((1, 2), -1)
+    >>> normalize_column([1, 1]) is None
+    True
+
 Inside this module a tableau is its tuple of column tuples; `Tableau`
 objects are built only where tableaux enter or leave it.
+
+Caches: besides whole tableaux (`_straighten_columns`), three process-wide
+caches hold the column algebra beneath them: `_normalized` (behind
+`normalize_column`) keyed by a word, `column_product` by a pair of columns
+and `_exchange` by a violating pair of adjacent columns.  Their keys are
+words in the m + n letters no longer than two columns, so their size
+depends on the column lengths and the number of letters, not on the ring or
+the number of tableaux straightened: building S_(3,2) of Koszul(x,y,z)
+leaves 207, 150 and 549 entries, against 3,929 straightened tableaux.
+Every cached value is a tuple; the functions that return dicts build a
+fresh one on each call.
 """
 
 import itertools
@@ -177,6 +197,16 @@ def _signed_sort(letters):
     return work, sign
 
 
+@lru_cache(maxsize=None)
+def _normalized(word):
+    """`normalize_column` of a tuple, cached by the tuple."""
+    work, sign = _signed_sort(word)
+    for a, b in zip(work, work[1:]):
+        if a == b and a > 0:
+            return None
+    return tuple(work), sign
+
+
 def normalize_column(entries):
     """Sort a column into canonical order, tracking the sign.
 
@@ -184,11 +214,7 @@ def normalize_column(entries):
     (a repeated positive entry).  Canonical order is weakly increasing:
     negatives first with repeats kept, then distinct positives.
     """
-    work, sign = _signed_sort(entries)
-    for a, b in zip(work, work[1:]):
-        if a == b and a > 0:
-            return None
-    return tuple(work), sign
+    return _normalized(tuple(entries))
 
 
 def column_is_canonical(entries):
@@ -249,13 +275,15 @@ def find_violation(columns):
 
 # -- column algebra ----------------------------------------------------------
 
+@lru_cache(maxsize=None)
 def column_product(x, y):
     """Multiply two column tuples; None when the product vanishes.
 
     An odd letter v that a column holds k times stands for the divided power
     v^(k).  Returns (canonical column, integer coefficient): the signed sort
     of the word x + y, times C(a + b, b) for each odd letter held a times by
-    x and b times by y, since v^(a) v^(b) = C(a + b, b) v^(a + b).
+    x and b times by y, since v^(a) v^(b) = C(a + b, b) v^(a + b).  Cached
+    by (x, y), so both must be tuples.
     """
     norm = normalize_column(x + y)
     if norm is None:
@@ -343,6 +371,31 @@ def theta_expand(columns, violation):
 
 
 @lru_cache(maxsize=None)
+def _exchange(left, right):
+    """The relation that removes the first violation between two columns.
+
+    left and right are canonical columns that violate the row order.
+    Returns ((new left, new right), lead * k) for every term k of
+    `theta_expand` on the two-column tableau other than the pair itself,
+    where lead (+1 or -1) is the coefficient of the pair: the pair equals
+    minus the sum of these terms modulo the relations.
+
+    This is the whole relation `_straighten_columns` needs.  The violation
+    `find_violation` reports for a tableau sits in the first row where some
+    adjacent pair of columns breaks the row order, so no earlier row of its
+    own pair breaks it: it is the first violation of that pair alone, with
+    the same row, split row, u and v.  The relation only rewrites that pair,
+    so it depends on the pair and nothing else.
+    """
+    pair = (left, right)
+    relation = theta_expand(pair, find_violation(pair))
+    lead = relation.pop(pair)
+    if lead not in (1, -1):
+        raise AssertionError("leading coefficient %d is not a unit" % lead)
+    return tuple((other, lead * k) for other, k in relation.items())
+
+
+@lru_cache(maxsize=None)
 def _straighten_columns(columns):
     """Straighten a column tuple; returns ((standard columns, coeff), ...).
 
@@ -369,14 +422,13 @@ def _straighten_columns(columns):
             else:
                 result.pop(t, None)
             continue
-        relation = theta_expand(t, violation)
-        lead = relation.pop(t)
-        if lead not in (1, -1):
-            raise AssertionError("leading coefficient %d is not a unit" % lead)
-        # t = t - lead^(-1) * relation modulo the relation submodule, and the
-        # t term itself cancels, leaving strictly earlier tableaux.
-        for other, k in relation.items():
-            c = pending.get(other, 0) - coeff * lead * k
+        a = violation.col
+        head, tail = t[:a - 1], t[a + 1:]
+        # t = -lead * (the rest of the relation) modulo the relation
+        # submodule, a combination of strictly earlier tableaux.
+        for pair, k in _exchange(t[a - 1], t[a]):
+            other = head + pair + tail
+            c = pending.get(other, 0) - coeff * k
             if c:
                 pending[other] = c
             else:

@@ -14,6 +14,7 @@ from schurcx import (RATIONALS, GF, PolyRing, Tableau, koszul_complex,
                      save_complex, schur_complex)
 from schurcx.complexes import complex_from_dict, load_complex
 from schurcx.cli import main
+from schurcx.ring import MAX_TRIALS
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -276,6 +277,28 @@ def test_ranks_bad_trials_prints_nothing(capsys, koszul_file, trials):
     out, err = capsys.readouterr()
     assert out == ""
     assert "trials must be >= 1" in err
+
+
+def test_ranks_trials_over_the_bound_is_fast(tmp_path, capsys):
+    # rank 1 of 2, so no trial stops the others early
+    data = {
+        "ring": {"coefficients": "QQ", "variables": ["x"]},
+        "min_degree": 0,
+        "ranks": [2, 2],
+        "differentials": [[["x", "x"], ["x", "x"]]],
+    }
+    path = tmp_path / "deficient.json"
+    path.write_text(json.dumps(data))
+    start = time.monotonic()
+    assert main(["ranks", "--complex", str(path), "--trials", "100000000"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "trials must be at most %d, got 100000000\n" % MAX_TRIALS
+    assert time.monotonic() - start < 2.0
+    assert main(["ranks", "--complex", str(path), "--trials", str(MAX_TRIALS + 1)]) == 3
+    capsys.readouterr()
+    assert main(["ranks", "--complex", str(path), "--trials", str(MAX_TRIALS)]) == 0
+    assert "rank d_1 = 1\n" in capsys.readouterr().out
 
 
 def test_homology_at_points(capsys, koszul_file):
