@@ -7,14 +7,15 @@ when it is not an integer; over a prime field an int in [0, p).
 `CoefficientField.coerce` is the one way into the field, and polynomial
 arithmetic reduces its sums mod p and drops their zeros in one place,
 `reduce_terms`.  Matrix products and Bareiss elimination both work on the
-stored sparse columns with the term-map kernel `add_product`,
-`reduce_terms` and `exact_quotient`.  Ranks at a given point are exact;
-over the rationals a value whose size estimate exceeds `MAX_VALUE_BITS`
-bits is refused before it is computed.  Generic ranks (`mat_generic_rank`)
-are Monte Carlo lower bounds; over the rationals each random specialization
-is evaluated modulo a random prime in [2^30, 2^31) and ranked there, since
-the rank mod a prime is at most the rank over QQ.  No floating point is
-used anywhere.
+stored sparse columns: `mat_mul` groups each column's scalars by monomial
+and adds plain numbers, and Bareiss uses the term-map kernels
+`add_product`, `reduce_terms` and `exact_quotient`.  Ranks at a given
+point are exact; over the rationals a value whose size estimate exceeds
+`MAX_VALUE_BITS` bits is refused before it is computed.  Generic ranks
+(`mat_generic_rank`) are Monte Carlo lower bounds; over the rationals each
+random specialization is evaluated modulo a random prime in [2^30, 2^31)
+and ranked there, since the rank mod a prime is at most the rank over QQ.
+No floating point is used anywhere.
 
     >>> R = PolyRing(RATIONALS, ("x", "y"))
     >>> x, y = R.gens()
@@ -586,29 +587,53 @@ class PolyMatrix:
 def mat_mul(a, b):
     """Exact matrix product; raises on shape or ring mismatch.
 
-    Only pairs of stored entries are multiplied: column j of the product
-    sums column k of a times the entry (k, j) of b, each output entry in one
-    term map that is reduced once at the end.
+    Column j of the product sums column k of a times each stored entry
+    (k, j) of b.  Column k of a is split once into {monomial: {row: scalar}},
+    so the inner loop adds scalars, one {row: sum} per product monomial.
+
+    >>> R = PolyRing(RATIONALS, ("x", "y"))
+    >>> x, y = R.gens()
+    >>> d1, d2 = PolyMatrix(R, [[x, y]]), PolyMatrix(R, [[-y], [x]])
+    >>> c = mat_mul(d1, d2)
+    >>> c.shape, c.is_zero()
+    ((1, 1), True)
     """
     if a.ring != b.ring:
         raise ValueError("ring mismatch")
     if a.cols != b.rows:
         raise ValueError("shape mismatch: %dx%d times %dx%d"
                          % (a.rows, a.cols, b.rows, b.cols))
-    ring = a.ring
+    ring, p = a.ring, a.ring.field.p
     out = PolyMatrix.zero(ring, a.rows, b.cols)
+    split = [None] * a.cols
+    monomials = {}  # (e1, e2) -> e1 + e2
     for bcol, ocol in zip(b.columns, out.columns):
-        sums = {}
+        sums = {}  # product monomial -> {row: unreduced scalar}
         for k, q in bcol.items():
-            for i, p in a.columns[k].items():
-                acc = sums.get(i)
-                if acc is None:
-                    acc = sums[i] = {}
-                add_product(acc, p.terms, q.terms)
-        for i, acc in sums.items():
-            terms = reduce_terms(ring.field, acc)
-            if terms:
-                ocol[i] = Polynomial(ring, terms)
+            pieces = split[k]
+            if pieces is None:
+                by_exp = {}
+                for i, f in a.columns[k].items():
+                    for e, c in f.terms.items():
+                        by_exp.setdefault(e, {})[i] = c
+                pieces = split[k] = tuple(by_exp.items())
+            for e2, c2 in q.terms.items():
+                for e1, rows in pieces:
+                    e = monomials.get((e1, e2))
+                    if e is None:
+                        e = monomials[e1, e2] = tuple(map(add, e1, e2))
+                    acc = sums.setdefault(e, {})
+                    for i, c1 in rows.items():
+                        acc[i] = acc.get(i, 0) + c1 * c2
+        terms = {}
+        for e, acc in sums.items():
+            for i, c in acc.items():
+                if p is not None:
+                    c %= p
+                if c:
+                    terms.setdefault(i, {})[e] = c
+        for i, t in terms.items():
+            ocol[i] = Polynomial(ring, t)
     return out
 
 

@@ -128,6 +128,11 @@ class Tableau:
         """Build from a shape (row lengths) and [column, row, value] records."""
         if not isinstance(shape, Partition):
             shape = Partition(shape)
+        entries = list(entries)
+        # checked before any per-box work, which a huge shape makes unbounded
+        if len(entries) != shape.size:
+            raise ValueError("%d records for a shape of %d boxes"
+                             % (len(entries), shape.size))
         lengths = shape.column_lengths()
         cols = [[None] * c for c in lengths]
         for record in entries:
@@ -142,10 +147,7 @@ class Tableau:
             if cols[i - 1][j - 1] is not None:
                 raise ValueError("box (%d, %d) filled twice" % (i, j))
             cols[i - 1][j - 1] = v
-        for i, col in enumerate(cols):
-            if any(v is None for v in col):
-                raise ValueError("column %d has an empty box" % (i + 1,))
-        return cls(cols)
+        return cls(cols)  # one record per box, none twice: every box is filled
 
     @property
     def shape(self):
@@ -463,14 +465,18 @@ def enumerate_standard(shape, m, n):
     if not values:
         return []
     cols = [[None] * c for c in lengths]
+    boxes = [(ci, ri) for ci, c in enumerate(lengths) for ri in range(c)]
     found = []
-
-    def fill(ci, ri):
-        if ci == len(lengths):
+    # Depth-first over the boxes in column order, without recursion: the
+    # stack holds one iterator over the values left to try per filled box.
+    stack = [iter(values)]
+    while stack:
+        if len(stack) > len(boxes):
             found.append(tuple(tuple(c) for c in cols))
-            return
-        nci, nri = (ci, ri + 1) if ri + 1 < lengths[ci] else (ci + 1, 0)
-        for v in values:
+            stack.pop()
+            continue
+        ci, ri = boxes[len(stack) - 1]
+        for v in stack[-1]:
             if ri > 0:
                 above = cols[ci][ri - 1]
                 if v < above or (v == above and v > 0):
@@ -480,9 +486,9 @@ def enumerate_standard(shape, m, n):
                 if v < before or (v == before and v < 0):
                     continue
             cols[ci][ri] = v
-            fill(nci, nri)
-        cols[ci][ri] = None
-
-    fill(0, 0)
+            stack.append(iter(values))
+            break
+        else:
+            stack.pop()
     found.sort()  # for one shape, column tuple order is reading word order
     return [Tableau(cols) for cols in found]

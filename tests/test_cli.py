@@ -358,6 +358,35 @@ def test_entry_outside_diagram_is_invalid(tmp_path, capsys):
     assert "invalid tableau" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("conjugate", [[], ["--conjugate"]])
+def test_schur_on_a_shape_of_1100_boxes(tmp_path, capsys, conjugate):
+    path = tmp_path / "rank1.json"
+    path.write_text(json.dumps({"ring": {"coefficients": {"p": 7}, "variables": ["x"]},
+                                "min_degree": 0, "ranks": [1, 1],
+                                "differentials": [[["x"]]]}))
+    start = time.monotonic()
+    assert main(["schur", "--complex", str(path), "--shape", "1100",
+                 "--out", str(tmp_path / "out.json")] + conjugate) == 0
+    assert time.monotonic() - start < 2.0
+    assert capsys.readouterr().out == "1 <- 1\n"
+
+
+def test_tableau_file_with_a_huge_shape_is_invalid(tmp_path):
+    # 2^70 + 1 boxes and one record: refused before any per-box work.  Run
+    # in a subprocess, so that per-box work is stopped at the time limit
+    # (TimeoutExpired) instead of filling memory.
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"shape": [2 ** 70, 1], "entries": [[1, 1, 1]]}))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(REPO / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "schurcx.cli", "straighten", "--tableau", str(path)],
+        capture_output=True, text=True, env=env, timeout=2.0)
+    assert proc.returncode == 3, proc.stderr
+    assert "1 records for a shape of %d boxes" % (2 ** 70 + 1) in proc.stderr
+
+
 def test_extra_differential_is_invalid(tmp_path, capsys, koszul_file):
     data = {
         "ring": {"coefficients": "QQ", "variables": ["x"]},

@@ -10,6 +10,7 @@ from conftest import random_three_term
 from schurcx import (GF, RATIONALS, FreeComplex, PolyMatrix, PolyRing,
                      homology_ranks_at_point, koszul_complex, save_complex,
                      validate_complex)
+import schurcx.complexes
 import schurcx.ring
 from schurcx.complexes import complex_from_dict, complex_to_dict, load_complex
 from schurcx.ring import _coerce_point
@@ -74,6 +75,35 @@ def test_validate_catches_nonzero_square():
     antidiagonal = PolyMatrix(ring, [[zero, y], [x, zero]])
     f = FreeComplex(ring, 0, (2, 2, 2), (identity, antidiagonal))
     assert validate_complex(f) == ["d_1 . d_2 != 0 at row 1, column 0"]
+
+
+def test_validate_names_lowest_column_then_row():
+    # d.d is zero in column 0; column 1 is x^2 + y^2 at row 1 and x^2 + 2xy
+    # at row 2; column 2 is nonzero in every row, row 0 included
+    ring = PolyRing(RATIONALS, ("x", "y"))
+    x, y = ring.gens()
+    one, zero = ring.one(), ring.zero()
+    d1 = PolyMatrix(ring, [[y, -x], [x, y], [x + y, x]])
+    d2 = PolyMatrix(ring, [[zero, x, one], [zero, y, zero]])
+    f = FreeComplex(ring, 0, (3, 2, 3), (d1, d2))
+    assert validate_complex(f) == ["d_1 . d_2 != 0 at row 1, column 1"]
+
+
+def test_validate_multiplies_through_complexes_mat_mul(monkeypatch):
+    # the benchmark times the d.d check by wrapping this name
+    calls = []
+    real = schurcx.complexes.mat_mul
+
+    def counting(a, b):
+        calls.append((a, b))
+        return real(a, b)
+
+    monkeypatch.setattr(schurcx.complexes, "mat_mul", counting)
+    f = koszul_complex(PolyRing(RATIONALS, ("x", "y", "z")).gens())
+    assert validate_complex(f) == []
+    d = f.differentials
+    assert [(id(a), id(b)) for a, b in calls] == [(id(d[0]), id(d[1])),
+                                                   (id(d[1]), id(d[2]))]
 
 
 def test_validate_catches_bad_shape():

@@ -4,6 +4,7 @@ import itertools
 import random
 import time
 from fractions import Fraction
+from operator import add
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,7 +15,7 @@ from schurcx import (GF, RATIONALS, PolyMatrix, PolyRing, mat_generic_rank,
 import schurcx.ring
 from schurcx.ring import (Polynomial, exact_quotient, format_polynomial, is_prime,
                           mat_mul, mat_rank_at_point, parse_polynomial,
-                          random_prime, scalar_rank)
+                          random_prime, reduce_terms, scalar_rank)
 
 
 @pytest.fixture
@@ -559,6 +560,84 @@ def test_products_drop_cancelled_fractions():
     assert c.columns == [{}] and c.is_zero()
     p = (x + Fraction(1, 2)) * (x - Fraction(1, 2))
     assert p.terms == {(2,): 1, (0,): Fraction(-1, 4)}
+
+
+def _entry_by_entry_mat_mul(a, b):
+    """The oracle: every pair of stored entries multiplied term by term, one
+    unreduced term map per output entry."""
+    out = PolyMatrix.zero(a.ring, a.rows, b.cols)
+    for bcol, ocol in zip(b.columns, out.columns):
+        sums = {}
+        for k, q in bcol.items():
+            for i, p in a.columns[k].items():
+                acc = sums.setdefault(i, {})
+                for e1, c1 in p.terms.items():
+                    for e2, c2 in q.terms.items():
+                        e = tuple(map(add, e1, e2))
+                        acc[e] = acc.get(e, 0) + c1 * c2
+        for i, acc in sums.items():
+            terms = reduce_terms(a.ring.field, acc)
+            if terms:
+                ocol[i] = Polynomial(a.ring, terms)
+    return out
+
+
+def _random_matrix(ring, rng, rows, cols, monomials):
+    """Sparse entries of up to three terms from a few monomials, so that
+    products often cancel; over QQ a third of the scalars are fractions."""
+    def entry():
+        if rng.random() < 0.3:
+            return ring.zero()
+        terms = {}
+        for e in rng.sample(monomials, rng.randint(1, min(3, len(monomials)))):
+            c = rng.randint(-3, 3)
+            if ring.field.is_rational and rng.random() < 0.3:
+                c = Fraction(c, rng.randint(2, 5))
+            terms[e] = c
+        return ring.polynomial(terms)
+    return PolyMatrix(ring, [[entry() for _ in range(cols)] for _ in range(rows)],
+                      shape=(rows, cols))
+
+
+def _snapshot(m):
+    return [{i: dict(p.terms) for i, p in col.items()} for col in m.columns]
+
+
+def test_mat_mul_matches_entry_by_entry_oracle():
+    rng = random.Random(13)
+    nonzero = 0
+    for field in (RATIONALS, GF(2), GF(3), GF(32003)):
+        for nvars in range(4):
+            ring = PolyRing(field, ("x", "y", "z")[:nvars])
+            pool = list(itertools.product(range(2), repeat=nvars))
+            for _ in range(40):
+                monomials = rng.sample(pool, min(len(pool), rng.randint(1, 4)))
+                n, k, m = (rng.randint(0, 4) for _ in range(3))
+                a = _random_matrix(ring, rng, n, k, monomials)
+                b = _random_matrix(ring, rng, k, m, monomials)
+                before = _snapshot(a), _snapshot(b)
+                c = mat_mul(a, b)
+                assert c == _entry_by_entry_mat_mul(a, b)
+                assert c.shape == (n, m)
+                assert (_snapshot(a), _snapshot(b)) == before
+                inputs = {id(p.terms) for x in (a, b) for col in x.columns
+                          for p in col.values()}
+                for col in c.columns:
+                    for p in col.values():
+                        assert p.terms and id(p.terms) not in inputs
+                        assert all(s and (field.p is None or 0 <= s < field.p)
+                                   for s in p.terms.values())
+                nonzero += not c.is_zero()
+    assert nonzero > 200  # the check is not only on zero products
+
+
+def test_mat_mul_cancels_only_mod_p():
+    # x*x + x*x is 2x^2: zero over GF(2), not over GF(3) or QQ
+    for field, want in ((GF(2), {}), (GF(3), {(2,): 2}), (RATIONALS, {(2,): 2})):
+        ring = PolyRing(field, ("x",))
+        x = ring.variable("x")
+        c = mat_mul(PolyMatrix(ring, [[x, x]]), PolyMatrix(ring, [[x], [x]]))
+        assert c.columns == ([{}] if not want else [{0: Polynomial(ring, want)}])
 
 
 def test_matrix_round_trips():

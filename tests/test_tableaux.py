@@ -51,7 +51,7 @@ def test_from_entries_rejects_bad_boxes():
     with pytest.raises(ValueError):
         Tableau.from_entries((2, 1), [[1, 1, 1], [1, 2, 2], [2, 1, 3],
                                       [2, 2, 4]])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="2 records for a shape of 3 boxes"):
         Tableau.from_entries((2, 1), [[1, 1, 1], [1, 2, 2]])
     with pytest.raises(ValueError):
         Tableau.from_entries((2, 1), [[1, 1, 1], [1, 1, 2], [2, 1, 3]])
@@ -297,6 +297,15 @@ def test_enumerate_classical_dimensions():
         for r in range(1, 5):
             assert len(enumerate_standard((1,) * r, 0, n)) == comb(n, r)
             assert len(enumerate_standard((r,), 0, n)) == comb(n + r - 1, r)
+
+
+def test_enumerate_shapes_of_1100_boxes():
+    # one box per step of the search, with no Python frame per box: a row
+    # holds at most one -1, a column at most one 1
+    for shape in ((1100,), (1,) * 1100):
+        out = enumerate_standard(shape, 1, 1)
+        assert len(out) == 2
+        assert all(t.shape == shape for t in out)
 
 
 def test_enumerate_matches_semistandard_brute_force():
