@@ -27,6 +27,14 @@ def koszul_file(tmp_path):
     return str(path)
 
 
+def _src_env():
+    """The environment with this checkout's `src` first on PYTHONPATH."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(REPO / "src"), env.get("PYTHONPATH")) if p)
+    return env
+
+
 def _write_tableau(tmp_path, shape, columns, name="t.json"):
     t = Tableau(columns)
     path = tmp_path / name
@@ -377,12 +385,9 @@ def test_tableau_file_with_a_huge_shape_is_invalid(tmp_path):
     # (TimeoutExpired) instead of filling memory.
     path = tmp_path / "huge.json"
     path.write_text(json.dumps({"shape": [2 ** 70, 1], "entries": [[1, 1, 1]]}))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(REPO / "src"), env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-m", "schurcx.cli", "straighten", "--tableau", str(path)],
-        capture_output=True, text=True, env=env, timeout=2.0)
+        capture_output=True, text=True, env=_src_env(), timeout=2.0)
     assert proc.returncode == 3, proc.stderr
     assert "1 records for a shape of %d boxes" % (2 ** 70 + 1) in proc.stderr
 
@@ -616,12 +621,9 @@ def test_console_script_runs(koszul_file):
     module, _, func = target.partition(":")
     launcher = "import sys; from %s import %s; sys.exit(%s())" % (
         module, func, func)
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(REPO / "src"), env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-c", launcher, "verify", "--complex", koszul_file],
-        capture_output=True, text=True, env=env,
+        capture_output=True, text=True, env=_src_env(),
         cwd=os.path.dirname(koszul_file))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "ok\n", proc.stderr
