@@ -41,6 +41,8 @@ MAX_VALUE_BITS = 1 << 16
 # early, so on a rank-deficient matrix every trial runs; past a few the bound
 # hardly improves (see its docstring), while the time grows without end.
 MAX_TRIALS = 100
+# The most rows or columns `mat_rank_exact` takes; Bareiss entries grow each step.
+MAX_BAREISS_DIM = 64
 
 
 def is_prime(n):
@@ -778,7 +780,7 @@ def mat_generic_rank(a, trials=3, seed=0):
     return best
 
 
-def mat_rank_exact(a, max_dim=64):
+def mat_rank_exact(a):
     """Symbolic rank by fraction-free (Bareiss) elimination on the stored columns.
 
     Each column is read as {row: term map}.  A step takes the last column
@@ -786,11 +788,11 @@ def mat_rank_exact(a, max_dim=64):
     other column c by (piv * c - c[row] * column) / prev, where prev is the
     previous pivot: the division is exact (Bareiss, Math. Comp. 1968), and
     an entry zero in both columns is never stored.  Entry growth makes this
-    expensive on large matrices, so the dimension is guarded; raise the
-    guard deliberately if a bigger certificate is wanted.
+    expensive on large matrices, so a matrix with more than MAX_BAREISS_DIM
+    rows or columns raises ValueError.
     """
-    if max(a.rows, a.cols) > max_dim:
-        raise ValueError("matrix exceeds Bareiss size guard (%d)" % max_dim)
+    if max(a.rows, a.cols) > MAX_BAREISS_DIM:
+        raise ValueError("matrix exceeds Bareiss size guard (%d)" % MAX_BAREISS_DIM)
     field = a.ring.field
     cols = [{i: p.terms for i, p in col.items()} for col in a.columns if col]
     prev = {(0,) * a.ring.nvars: 1}

@@ -76,27 +76,27 @@ def _entry_differential_table(f, basis):
     return table
 
 
-def _differential(columns, table, degree):
+def _differential(columns, table):
     """Image of a standard tableau, given by its columns, under d.
 
     Returns {standard column tuple: term map}, the term maps summed but not
     yet reduced (see `reduce_terms`).  Every entry (once per distinct
     negative value in a column, once per positive entry) is replaced by the
-    terms of d on its basis vector, with the sign of the degrees of all
-    earlier boxes in column order; divided powers step down a single time
-    per value, which is exactly the divided-power chain rule.  The new
-    letter goes in as the column product of the letters before the run and
-    the letter followed by the rest of the column.
+    terms of d on its basis vector, with the sign (-1)^(odd letters in
+    earlier boxes), repeats counted, boxes in column order, negative labels
+    odd; divided powers step down a single time per value, which is exactly
+    the divided-power chain rule.  The new letter goes in as the column
+    product of the letters before the run and the letter followed by the
+    rest of the column.
     """
     result = {}
-    prefix_degree = 0
+    odd = False  # parity of the odd letters in the boxes before this one
     for ci, col in enumerate(columns):
-        offset = 0
         for pos, v in enumerate(col):
+            sign = -1 if odd else 1
+            odd ^= v < 0
             if pos > 0 and col[pos - 1] == v and v < 0:
-                offset += degree[v]
                 continue
-            sign = -1 if (prefix_degree + offset) % 2 else 1
             for terms, label in table[v]:
                 replaced = column_product(col[:pos], (label,) + col[pos + 1:])
                 if replaced is None:
@@ -109,8 +109,6 @@ def _differential(columns, table, degree):
                     if acc is None:
                         acc = result[std] = {}
                     add_scaled(acc, terms, scale * c)
-            offset += degree[v]
-        prefix_degree += offset
     return result
 
 
@@ -136,7 +134,7 @@ def schur_complex(shape, f):
         row_of = {t.columns: i for i, t in enumerate(targets)}
         mat = PolyMatrix.zero(ring, len(targets), len(sources))
         for t, col in zip(sources, mat.columns):
-            for std, acc in _differential(t.columns, table, basis.degree).items():
+            for std, acc in _differential(t.columns, table).items():
                 terms = reduce_terms(ring.field, acc)
                 if terms:
                     col[row_of[std]] = Polynomial(ring, terms)

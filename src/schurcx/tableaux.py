@@ -40,21 +40,21 @@ complement, signed by sorting the two back into the column.
 Inside this module a tableau is its tuple of column tuples; `Tableau`
 objects are built only where tableaux enter or leave it.
 
-Caches: besides whole tableaux (`_straighten_columns`), three process-wide
-caches hold the column algebra beneath them: `_normalized` (behind
-`normalize_column`) keyed by a word, `column_product` by a pair of columns
-and `_exchange` by a violating pair of adjacent columns.  Their keys are
-words in the m + n letters no longer than two columns, so their size
-depends on the column lengths and the number of letters, not on the ring or
-the number of tableaux straightened: building S_(3,2) of Koszul(x,y,z)
-leaves 207, 150 and 549 entries, against 3,929 straightened tableaux.
-Every cached value is a tuple; the functions that return dicts build a
-fresh one on each call.
+Caches: three, process-wide.  `_straighten_columns` holds whole tableaux,
+keyed by their canonical columns (`straighten` normalizes its input once,
+before the lookup); beneath it `column_product` is keyed by a pair of
+columns and `_exchange` by a violating pair of adjacent columns.  Those
+keys are words in the m + n letters no longer than two columns, so their
+size depends on the column lengths and the number of letters, not on the
+ring or the number of tableaux straightened: building S_(3,2) of
+Koszul(x,y,z) leaves 150 and 549 entries, against 3,929 straightened
+tableaux.  Every cached value is a tuple; the functions that return dicts
+build a fresh one on each call.
 """
 
 import itertools
 from functools import lru_cache
-from math import comb
+from math import comb, prod
 from typing import NamedTuple
 
 
@@ -199,16 +199,6 @@ def _signed_sort(letters):
     return work, sign
 
 
-@lru_cache(maxsize=None)
-def _normalized(word):
-    """`normalize_column` of a tuple, cached by the tuple."""
-    work, sign = _signed_sort(word)
-    for a, b in zip(work, work[1:]):
-        if a == b and a > 0:
-            return None
-    return tuple(work), sign
-
-
 def normalize_column(entries):
     """Sort a column into canonical order, tracking the sign.
 
@@ -216,7 +206,11 @@ def normalize_column(entries):
     (a repeated positive entry).  Canonical order is weakly increasing:
     negatives first with repeats kept, then distinct positives.
     """
-    return _normalized(tuple(entries))
+    work, sign = _signed_sort(entries)
+    for a, b in zip(work, work[1:]):
+        if a == b and a > 0:
+            return None
+    return tuple(work), sign
 
 
 def column_is_canonical(entries):
@@ -399,21 +393,14 @@ def _exchange(left, right):
 
 @lru_cache(maxsize=None)
 def _straighten_columns(columns):
-    """Straighten a column tuple; returns ((standard columns, coeff), ...).
+    """Straighten canonical columns; returns ((standard columns, coeff), ...).
 
-    The result is sorted by column tuple, which for one shape is the order
-    of the column reading word.
+    The columns must be canonical (`straighten` normalizes them).  The
+    result is sorted by column tuple, which for one shape is the order of
+    the column reading word.
     """
-    sign = 1
-    canon = []
-    for col in columns:
-        norm = normalize_column(col)
-        if norm is None:
-            return ()
-        canon.append(norm[0])
-        sign *= norm[1]
     result = {}
-    pending = {tuple(canon): sign}
+    pending = {columns: 1}
     while pending:
         t, coeff = pending.popitem()
         violation = find_violation(t)
@@ -444,11 +431,22 @@ def straighten(t, m=None, n=None):
     Returns {standard Tableau: integer coefficient} in the order of the
     column reading word; the empty map when the tableau is zero (some column
     repeats a positive entry).  When m and n are given the entries are
-    range-checked first.
+    range-checked first.  Columns are normalized once, here, and the product
+    of their signs multiplies the result.
+
+    >>> straighten(Tableau(((2, 1), (3,))))
+    {Tableau([[1, 2], [3]]): -1}
+    >>> straighten(Tableau(((-1, -2), (-1,))))
+    {Tableau([[-2, -1], [-1]]): 1}
     """
     if m is not None or n is not None:
         check_entry_range(t, m or 0, n or 0)
-    return {Tableau(cols): c for cols, c in _straighten_columns(t.columns)}
+    norms = [normalize_column(col) for col in t.columns]
+    if None in norms:
+        return {}
+    sign = prod(s for _, s in norms)
+    canon = tuple(col for col, _ in norms)
+    return {Tableau(cols): sign * c for cols, c in _straighten_columns(canon)}
 
 
 # -- enumeration -------------------------------------------------------------
@@ -456,14 +454,15 @@ def straighten(t, m=None, n=None):
 def enumerate_standard(shape, m, n):
     """All standard tableaux of the shape with entries in {-m..-1, 1..n}.
 
-    Sorted by the column reading word.
+    In column reading word order: the search fills the boxes in that order
+    and tries values in ascending order.  The empty shape raises ValueError.
     """
     if not isinstance(shape, Partition):
         shape = Partition(shape)
     lengths = shape.column_lengths()
+    if not lengths:
+        raise ValueError("the empty shape () has no boxes to fill")
     values = list(range(-m, 0)) + list(range(1, n + 1))
-    if not values:
-        return []
     cols = [[None] * c for c in lengths]
     boxes = [(ci, ri) for ci, c in enumerate(lengths) for ri in range(c)]
     found = []
@@ -472,7 +471,7 @@ def enumerate_standard(shape, m, n):
     stack = [iter(values)]
     while stack:
         if len(stack) > len(boxes):
-            found.append(tuple(tuple(c) for c in cols))
+            found.append(Tableau(cols))
             stack.pop()
             continue
         ci, ri = boxes[len(stack) - 1]
@@ -490,5 +489,4 @@ def enumerate_standard(shape, m, n):
             break
         else:
             stack.pop()
-    found.sort()  # for one shape, column tuple order is reading word order
-    return [Tableau(cols) for cols in found]
+    return found

@@ -13,12 +13,18 @@ from schurcx.tableaux import (Partition, _exchange, column_product, find_violati
                               normalize_column, theta_expand, theta_image,
                               wedge_coproduct)
 
-CACHED = ("_normalized", "column_product", "_exchange", "_straighten_columns")
-
 
 def _clear_caches():
-    for name in CACHED:
-        getattr(tableaux, name).cache_clear()
+    """Clear every lru_cache in `schurcx.tableaux`, found by its `cache_clear`.
+
+    The caches found must be exactly the three the module documents, so a
+    cache added or removed there cannot leave this helper stale.
+    """
+    caches = {name: value for name, value in vars(tableaux).items()
+              if hasattr(value, "cache_clear")}
+    assert set(caches) == {"column_product", "_exchange", "_straighten_columns"}
+    for cache in caches.values():
+        cache.cache_clear()
 
 
 @pytest.fixture
@@ -142,6 +148,17 @@ def test_w1_expands_each_column_pair_once(cold, monkeypatch):
     assert old.differentials == s.differentials
 
 
+def test_straighten_normalizes_before_the_cache(cold):
+    t = Tableau(((-3, -2, -2), (1, 2, 3), (-1, 3)))
+    # the odd letters of the first column swap with sign +1, the even
+    # letters of the second with sign -1
+    reordered = Tableau(((-2, -3, -2), (2, 1, 3), (-1, 3)))
+    want = straighten(t)
+    assert want
+    assert straighten(reordered) == {s: -c for s, c in want.items()}
+    assert tableaux._straighten_columns.cache_info().currsize == 1
+
+
 def _frozen(value):
     """Whether value is built from tuples, ints and None alone."""
     if isinstance(value, tuple):
@@ -166,7 +183,7 @@ def test_cached_results_are_safe_to_mutate():
         assert fn(*args) == want
 
     # column results are tuples all the way down, so a caller cannot change
-    # a cached value; a list passed in is copied into the key
+    # a cached value; a list passed in is copied
     word = [2, 1, 3]
     assert normalize_column(word) == ((1, 2, 3), -1)
     word.reverse()
@@ -175,6 +192,7 @@ def test_cached_results_are_safe_to_mutate():
     assert column_product((-1,), (-1,)) == ((-1, -1), 2)
     assert column_product((2,), (1,)) == ((1, 2), -1)
     assert _frozen(column_product((2,), (1,)))
-    assert _frozen(tableaux._straighten_columns(t.columns))
+    assert _frozen(tableaux._straighten_columns(
+        tuple(normalize_column(col)[0] for col in t.columns)))
     assert all(_frozen(_exchange(left, right))
                for left, right in [((-2, 2), (-2,)), ((1, 2, 3), (-1, 3))])

@@ -442,7 +442,10 @@ def test_exact_rank_catches_hidden_dependency(qq_xy):
 def test_exact_rank_size_guard(qq_xy):
     big = PolyMatrix.zero(qq_xy, 70, 70)
     with pytest.raises(ValueError):
-        mat_rank_exact(big, max_dim=64)
+        mat_rank_exact(big)
+    assert mat_rank_exact(PolyMatrix.zero(qq_xy, 64, 64)) == 0
+    with pytest.raises(ValueError, match=r"size guard \(64\)"):
+        mat_rank_exact(PolyMatrix.zero(qq_xy, 65, 65))
 
 
 def test_exact_quotient():

@@ -263,6 +263,15 @@ def test_empty_basis_yields_zero_complex():
     assert validate_complex(s) == []
 
 
+def test_empty_shape_is_refused():
+    # S_() of any F is R itself, which the tableau basis cannot represent;
+    # nonzero and zero F alike get the same error
+    ring = PolyRing(RATIONALS, ("x", "y"))
+    for f in (koszul_complex(ring.gens()), FreeComplex(ring, 0, (0,), ())):
+        with pytest.raises(ValueError, match=r"empty shape \(\)"):
+            schur_complex((), f)
+
+
 def test_d_squared_zero_small_sweep():
     shapes = [s for r in range(1, 4) for s in partitions(r)]
     ring_q = PolyRing(RATIONALS, ("x", "y"))

@@ -337,9 +337,22 @@ def _count_semistandard(shape, n):
 
 
 def test_enumerate_order_is_canonical():
-    out = enumerate_standard((2,), 1, 1)
-    words = [t.reading_word() for t in out]
-    assert words == sorted(words)
+    cases = 0
+    for size in range(1, 7):
+        for shape in partitions(size):
+            for m in range(4):
+                for n in range(4):
+                    words = [t.reading_word()
+                             for t in enumerate_standard(shape, m, n)]
+                    assert all(a < b for a, b in zip(words, words[1:]))
+                    cases += 1
+    assert cases == 464
+
+
+@pytest.mark.parametrize("m, n", [(1, 1), (0, 0)])
+def test_enumerate_refuses_the_empty_shape(m, n):
+    with pytest.raises(ValueError, match=r"empty shape \(\)"):
+        enumerate_standard((), m, n)
 
 
 def test_tensor_embed_mixed_column():
