@@ -161,11 +161,7 @@ def cmd_ranks(args):
 def cmd_homology(args):
     f = _load_complex(args.complex)
     point = _parse_point(args.point, f.ring)
-    try:
-        ranks = homology_ranks_at_point(f, point)
-    except ValueError as exc:
-        raise CliError(INVALID_INPUT, str(exc))
-    for k, h in zip(f.degrees(), ranks):
+    for k, h in zip(f.degrees(), homology_ranks_at_point(f, point)):
         print("h_%d = %d" % (k, h))
     return OK
 

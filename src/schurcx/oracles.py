@@ -114,19 +114,6 @@ def shuffle_mul(u, v):
     return out
 
 
-def deconcatenate(u, p):
-    """Split every tensor word after the first p letters."""
-    out = {}
-    for w, c in u.items():
-        key = (w[:p], w[p:])
-        s = out.get(key, 0) + c
-        if s:
-            out[key] = s
-        else:
-            out.pop(key, None)
-    return out
-
-
 # -- relation span oracle ----------------------------------------------------
 
 @lru_cache(maxsize=None)

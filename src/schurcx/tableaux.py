@@ -15,10 +15,10 @@ stands for a vector in the c_i-th exterior power of the underlying complex
   (B) every row weakly increases left to right, repeats only positive.
 
 Non-standard tableaux are rewritten into standard ones by `straighten`,
-which repeatedly eliminates the topmost, leftmost row violation using the
-quadratic relations between adjacent columns (`theta_expand`).  That
-relation rewrites only the violating pair of columns, so it is looked up by
-the pair (`_exchange`).
+which repeatedly rewrites the leftmost pair of adjacent columns that breaks
+the row order, using the quadratic relation between the two columns
+(`theta_expand`) at the pair's first violation.  That relation depends on
+the pair alone, so it is looked up by the pair (`_exchange`).
 
 Sign conventions: every column sign is the sign of one signed sort
 (`_signed_sort`, behind `normalize_column`), which sorts letters by adjacent
@@ -43,11 +43,11 @@ objects are built only where tableaux enter or leave it.
 Caches: three, process-wide.  `_straighten_columns` holds whole tableaux,
 keyed by their canonical columns (`straighten` normalizes its input once,
 before the lookup); beneath it `column_product` is keyed by a pair of
-columns and `_exchange` by a violating pair of adjacent columns.  Those
-keys are words in the m + n letters no longer than two columns, so their
-size depends on the column lengths and the number of letters, not on the
-ring or the number of tableaux straightened: building S_(3,2) of
-Koszul(x,y,z) leaves 150 and 549 entries, against 3,929 straightened
+columns and `_exchange` by a pair of adjacent columns, in row order or not.
+Those keys are words in the m + n letters no longer than two columns, so
+their size depends on the column lengths and the number of letters, not on
+the ring or the number of tableaux straightened: building S_(3,2) of
+Koszul(x,y,z) leaves 150 and 981 entries, against 3,929 straightened
 tableaux.  Every cached value is a tuple; the functions that return dicts
 build a fresh one on each call.
 """
@@ -172,14 +172,6 @@ class Tableau:
 
     def __repr__(self):
         return "Tableau(%s)" % (list(list(c) for c in self.columns),)
-
-
-def check_entry_range(t, m, n):
-    """Raise if some entry of t falls outside {-m..-1, 1..n}."""
-    for col in t.columns:
-        for v in col:
-            if not (-m <= v <= -1 or 1 <= v <= n):
-                raise ValueError("entry %d outside range m=%d, n=%d" % (v, m, n))
 
 
 def _signed_sort(letters):
@@ -370,21 +362,18 @@ def theta_expand(columns, violation):
 def _exchange(left, right):
     """The relation that removes the first violation between two columns.
 
-    left and right are canonical columns that violate the row order.
-    Returns ((new left, new right), lead * k) for every term k of
-    `theta_expand` on the two-column tableau other than the pair itself,
-    where lead (+1 or -1) is the coefficient of the pair: the pair equals
-    minus the sum of these terms modulo the relations.
-
-    This is the whole relation `_straighten_columns` needs.  The violation
-    `find_violation` reports for a tableau sits in the first row where some
-    adjacent pair of columns breaks the row order, so no earlier row of its
-    own pair breaks it: it is the first violation of that pair alone, with
-    the same row, split row, u and v.  The relation only rewrites that pair,
-    so it depends on the pair and nothing else.
+    left and right are canonical columns.  Returns None when the pair keeps
+    the row order, and otherwise ((new left, new right), lead * k) for every
+    term k of `theta_expand` on the two-column tableau other than the pair
+    itself, where lead (+1 or -1) is the coefficient of the pair: the pair
+    equals minus the sum of these terms modulo the relations.  Every new
+    left column sorts before left.
     """
     pair = (left, right)
-    relation = theta_expand(pair, find_violation(pair))
+    violation = find_violation(pair)
+    if violation is None:
+        return None
+    relation = theta_expand(pair, violation)
     lead = relation.pop(pair)
     if lead not in (1, -1):
         raise AssertionError("leading coefficient %d is not a unit" % lead)
@@ -395,27 +384,31 @@ def _exchange(left, right):
 def _straighten_columns(columns):
     """Straighten canonical columns; returns ((standard columns, coeff), ...).
 
-    The columns must be canonical (`straighten` normalizes them).  The
-    result is sorted by column tuple, which for one shape is the order of
-    the column reading word.
+    The columns must be canonical (`straighten` normalizes them).  Each step
+    rewrites the leftmost adjacent pair whose `_exchange` is not None; a
+    tableau with no such pair is standard.  The steps end because every
+    term keeps the columns before the pair and puts a new left column that
+    sorts before the old one, so the tuple of columns strictly decreases.
+    The result is sorted by column tuple, which for one shape is the order
+    of the column reading word.
     """
     result = {}
     pending = {columns: 1}
     while pending:
         t, coeff = pending.popitem()
-        violation = find_violation(t)
-        if violation is None:
+        for a in range(1, len(t)):
+            relation = _exchange(t[a - 1], t[a])
+            if relation is not None:
+                break
+        else:
             c = result.get(t, 0) + coeff
             if c:
                 result[t] = c
             else:
                 result.pop(t, None)
             continue
-        a = violation.col
         head, tail = t[:a - 1], t[a + 1:]
-        # t = -lead * (the rest of the relation) modulo the relation
-        # submodule, a combination of strictly earlier tableaux.
-        for pair, k in _exchange(t[a - 1], t[a]):
+        for pair, k in relation:
             other = head + pair + tail
             c = pending.get(other, 0) - coeff * k
             if c:
@@ -425,22 +418,19 @@ def _straighten_columns(columns):
     return tuple(sorted(result.items()))
 
 
-def straighten(t, m=None, n=None):
+def straighten(t):
     """Rewrite a tableau as a combination of standard tableaux.
 
     Returns {standard Tableau: integer coefficient} in the order of the
     column reading word; the empty map when the tableau is zero (some column
-    repeats a positive entry).  When m and n are given the entries are
-    range-checked first.  Columns are normalized once, here, and the product
-    of their signs multiplies the result.
+    repeats a positive entry).  Columns are normalized once, here, and the
+    product of their signs multiplies the result.
 
     >>> straighten(Tableau(((2, 1), (3,))))
     {Tableau([[1, 2], [3]]): -1}
     >>> straighten(Tableau(((-1, -2), (-1,))))
     {Tableau([[-2, -1], [-1]]): 1}
     """
-    if m is not None or n is not None:
-        check_entry_range(t, m or 0, n or 0)
     norms = [normalize_column(col) for col in t.columns]
     if None in norms:
         return {}

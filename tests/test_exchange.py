@@ -5,7 +5,7 @@ from functools import lru_cache
 
 import pytest
 
-from conftest import partitions
+from conftest import canonical_columns, partitions
 from schurcx import GF, PolyRing, Tableau, koszul_complex, schur_complex, straighten
 import schurcx.schur
 from schurcx import tableaux
@@ -79,30 +79,37 @@ def _straighten_whole_tableau(columns):
     return tuple(sorted(result.items()))
 
 
-def test_violation_of_a_tableau_is_the_first_of_its_pair(cold, monkeypatch):
-    violating = {}
+def test_exchange_of_every_pair_of_columns_up_to_three():
+    # every pair over fewer letters is also a pair over -3..-1, 1..3
+    violating = terms = 0
+    for ca in range(1, 4):
+        for cb in range(1, ca + 1):
+            for left in canonical_columns(3, 3, ca):
+                for right in canonical_columns(3, 3, cb):
+                    relation = _exchange(left, right)
+                    assert (relation is None) == (
+                        find_violation((left, right)) is None)
+                    if relation is None:
+                        continue
+                    violating += 1
+                    for (new_left, _), _ in relation:
+                        assert new_left < left
+                        terms += 1
+    assert (violating, terms) == (1934, 3637)
 
-    def recording(columns):
-        violation = find_violation(columns)
-        if violation is not None:
-            violating[columns] = violation
-        return violation
+
+def test_straightening_finds_violations_through_exchange_only(cold, monkeypatch):
+    calls = []
+
+    def counting(columns):
+        calls.append(columns)
+        return find_violation(columns)
 
     f, shape = _w1()
-    monkeypatch.setattr(tableaux, "find_violation", recording)
+    monkeypatch.setattr(tableaux, "find_violation", counting)
     schur_complex(shape, f)
-    monkeypatch.undo()
-    assert sum(len(t) == 3 for t in violating) > 1000
-    for t, violation in violating.items():
-        a = violation.col
-        left, right = t[a - 1], t[a]
-        assert find_violation((left, right)) == violation._replace(col=1)
-        relation = theta_expand(t, violation)
-        lead = relation.pop(t)
-        assert all(other[:a - 1] == t[:a - 1] and other[a + 1:] == t[a + 1:]
-                   for other in relation)
-        assert _exchange(left, right) == tuple(
-            ((other[a - 1], other[a]), lead * k) for other, k in relation.items())
+    assert all(len(columns) == 2 for columns in calls)
+    assert len(calls) == _exchange.cache_info().currsize == 981
 
 
 def test_straighten_matches_whole_tableau_relations():

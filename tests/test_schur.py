@@ -272,6 +272,19 @@ def test_empty_shape_is_refused():
             schur_complex((), f)
 
 
+def test_basis_over_other_graded_ranks_is_refused():
+    xy = koszul_complex(PolyRing(RATIONALS, ("x", "y")).gens())
+    xyz = koszul_complex(PolyRing(RATIONALS, ("x", "y", "z")).gens())
+    # the first pair built a wrong complex silently, the second raised
+    # IndexError
+    for shape, f, g in (((2,), xy, xyz), ((2, 1), xyz, xy)):
+        with pytest.raises(ValueError, match="graded ranks"):
+            schur_complex(SchurBasis(shape, f), g)
+    # the ring may differ as long as the graded ranks agree
+    g = koszul_complex(PolyRing(GF(5), ("x", "y")).gens())
+    assert schur_complex(SchurBasis((2, 1), xy), g) == schur_complex((2, 1), g)
+
+
 def test_d_squared_zero_small_sweep():
     shapes = [s for r in range(1, 4) for s in partitions(r)]
     ring_q = PolyRing(RATIONALS, ("x", "y"))
