@@ -32,7 +32,7 @@ def _load_json(path):
             return json.load(fh)
     except OSError as exc:
         raise CliError(PARSE_ERROR, "cannot read %s: %s" % (path, exc))
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON or UTF-8, or an integer over the digit limit
         raise CliError(PARSE_ERROR, "bad JSON in %s: %s" % (path, exc))
 
 

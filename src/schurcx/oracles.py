@@ -2,8 +2,10 @@
 
 `tensor_embed` realizes the column sign rules inside the tensor algebra, and
 `relation_membership` tests a tableau combination against the span of the
-quadratic exchange relations.  Both are exponential in the number of boxes;
-no core module imports this one.
+quadratic exchange relations.  Both are exponential in the number of boxes.
+`straighten_whole_tableau` is the reference straightener: it rebuilds the
+relation of the whole tableau at each step instead of looking it up by a
+pair of columns.  No core module imports this one.
 """
 
 import itertools
@@ -23,6 +25,15 @@ def column_basis(length, m, n):
                 out.append(tuple(negs) + tuple(poss))
     out.sort()
     return out
+
+
+def _add(out, key, c):
+    """Add c to out[key], dropping the key when the sum is zero."""
+    c += out.get(key, 0)
+    if c:
+        out[key] = c
+    else:
+        out.pop(key, None)
 
 
 # -- tensor algebra oracle ---------------------------------------------------
@@ -76,12 +87,7 @@ def tensor_embed(x):
                 for k, s in enumerate(slots):
                     crossings += sum(1 for t in range(s) if t not in chosen)
                 sign = psign * (-1 if crossings % 2 else 1)
-                key = tuple(word)
-                c = out.get(key, 0) + sign
-                if c:
-                    out[key] = c
-                else:
-                    out.pop(key, None)
+                _add(out, tuple(word), sign)
     return out
 
 
@@ -105,13 +111,66 @@ def shuffle_mul(u, v):
                     for t in range(s):
                         if t not in chosen:
                             sign *= _pair_sign(w1[a], word[t])
-                key = tuple(word)
-                c = out.get(key, 0) + c1 * c2 * sign
-                if c:
-                    out[key] = c
-                else:
-                    out.pop(key, None)
+                _add(out, tuple(word), c1 * c2 * sign)
     return out
+
+
+# -- whole-tableau straightening ---------------------------------------------
+
+def _first_violation(columns):
+    """(column index, row) of the topmost, leftmost row violation, or None.
+
+    A row violation is a box whose entry is above its right neighbour's, or
+    equal to it and odd.  Column index a names the pair a - 1, a.
+    """
+    for row in range(len(columns[0])):
+        for a in range(1, len(columns)):
+            if row >= len(columns[a]):
+                break  # columns weakly shorten, so the rest are shorter too
+            x, y = columns[a - 1][row], columns[a][row]
+            if x > y or (x == y and x < 0):
+                return a, row
+    return None
+
+
+def straighten_whole_tableau(columns):
+    """Straighten a tableau given by its columns, one whole relation at a time.
+
+    Returns ((standard columns, coefficient), ...) sorted, as
+    `tableaux._straighten_columns` does, but takes any columns and
+    normalizes them first.  At each step it finds the topmost, leftmost row
+    violation, splits the two columns there, and expands the relation with
+    `theta_image` over the whole tableau.  It never calls `_exchange`.
+    """
+    sign = 1
+    canon = []
+    for col in columns:
+        norm = normalize_column(col)
+        if norm is None:
+            return ()
+        canon.append(norm[0])
+        sign *= norm[1]
+    result = {}
+    pending = {tuple(canon): sign}
+    while pending:
+        t, coeff = pending.popitem()
+        found = _first_violation(t)
+        if found is None:
+            _add(result, t, coeff)
+            continue
+        a, row = found
+        left, right = t[a - 1], t[a]
+        split = row + 1
+        while split < len(right) and right[split] <= right[row]:
+            split += 1
+        middle, _ = normalize_column(left[row:] + right[:split])
+        relation = {t[:a - 1] + pair + t[a + 1:]: k for pair, k in theta_image(
+            left[:row], middle, right[split:], len(left), len(right)).items()}
+        lead = relation.pop(t)
+        assert lead in (1, -1)
+        for other, k in relation.items():
+            _add(pending, other, -coeff * lead * k)
+    return tuple(sorted(result.items()))
 
 
 # -- relation span oracle ----------------------------------------------------

@@ -81,11 +81,14 @@ class CoefficientField:
 
     def __init__(self, p=None):
         if p is not None:
+            # the bound first: `is_prime` is proved only below it, and costs
+            # seconds on an integer of thousands of digits
+            if isinstance(p, int) and p >= _MR_BOUND:
+                raise ValueError("field characteristic of %d bits is too large: "
+                                 "primality is proved only below %d"
+                                 % (p.bit_length(), _MR_BOUND))
             if not isinstance(p, int) or not is_prime(p):
                 raise ValueError("field characteristic must be prime, got %r" % (p,))
-            if p >= _MR_BOUND:
-                raise ValueError("field characteristic %d is too large: primality "
-                                 "is proved only below %d" % (p, _MR_BOUND))
         self.p = p
 
     @property

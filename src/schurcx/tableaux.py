@@ -17,8 +17,8 @@ stands for a vector in the c_i-th exterior power of the underlying complex
 Non-standard tableaux are rewritten into standard ones by `straighten`,
 which repeatedly rewrites the leftmost pair of adjacent columns that breaks
 the row order, using the quadratic relation between the two columns
-(`theta_expand`) at the pair's first violation.  That relation depends on
-the pair alone, so it is looked up by the pair (`_exchange`).
+(`theta_image`) at the pair's first violation.  That relation depends on
+the pair alone, so it is built and looked up by the pair (`_exchange`).
 
 Sign conventions: every column sign is the sign of one signed sort
 (`_signed_sort`, behind `normalize_column`), which sorts letters by adjacent
@@ -55,7 +55,6 @@ build a fresh one on each call.
 import itertools
 from functools import lru_cache
 from math import comb, prod
-from typing import NamedTuple
 
 
 class Partition:
@@ -210,55 +209,14 @@ def column_is_canonical(entries):
 
 
 def is_standard(t):
-    """Columns weakly increase (repeats negative), rows too (repeats positive)."""
-    return (all(map(column_is_canonical, t.columns))
-            and find_violation(t.columns) is None)
+    """Columns weakly increase (repeats negative), rows too (repeats positive).
 
-
-class Violation(NamedTuple):
-    """Location data for the topmost, leftmost row violation.
-
-    row, col: the offending box pair is (col, row) and (col+1, row).
-    split_row: the last row of the right column pulled into the middle
-    exchange block.  u and v are the untouched head of the left column and
-    tail of the right column.
+    That is: every column is canonical and every adjacent pair of columns
+    keeps the row order (its `_exchange` is None).
     """
-    row: int
-    col: int
-    split_row: int
-    u: int
-    v: int
-
-
-def find_violation(columns):
-    """Find the first row-order violation of a column-sorted tableau.
-
-    Takes the tuple of column tuples.  Returns None when rows are fine (the
-    tableau is standard).  Columns must already be weakly increasing; entry
-    parity is not checked here, so a column with repeated positives is
-    acceptable input.
-    """
-    for col in columns:
-        if any(a > b for a, b in zip(col, col[1:])):
-            raise ValueError("column not sorted: %s" % (col,))
-    ncols = len(columns)
-    nrows = len(columns[0]) if ncols else 0
-    for w in range(1, nrows + 1):
-        for a in range(1, ncols):
-            right = columns[a]
-            if w > len(right):
-                continue
-            x, y = columns[a - 1][w - 1], right[w - 1]
-            if x > y or (x == y and x < 0):
-                cb = len(right)
-                split = cb
-                for wp in range(w, cb):
-                    if y < right[wp]:
-                        split = wp
-                        break
-                return Violation(row=w, col=a, split_row=split,
-                                 u=w - 1, v=cb - split)
-    return None
+    cols = t.columns
+    return (all(map(column_is_canonical, cols))
+            and all(_exchange(a, b) is None for a, b in zip(cols, cols[1:])))
 
 
 # -- column algebra ----------------------------------------------------------
@@ -332,49 +290,37 @@ def theta_image(v1, v2, v3, ca, cb):
     return out
 
 
-def theta_expand(columns, violation):
-    """The relation used to remove a violation, expanded over tableaux.
-
-    The middle block joins the tail of the violating column and the head of
-    its right neighbour; the relation is its image under split-and-remultiply
-    and always contains the tableau itself with coefficient +1 or -1.
-    Takes and returns column tuples: {column tuple: integer coefficient},
-    keeping the untouched columns.
-    """
-    a = violation.col
-    left = columns[a - 1]
-    right = columns[a]
-    ca, cb = len(left), len(right)
-    u, v = violation.u, violation.v
-    if u + v >= cb:
-        raise ValueError("inadmissible relation: u + v must stay below %d" % cb)
-    v1 = left[:u]
-    v3 = right[violation.split_row:]
-    middle = normalize_column(left[u:] + right[:violation.split_row])
-    if middle is None:
-        raise ValueError("exchange block vanished; tableau was zero")
-    head, tail = columns[:a - 1], columns[a + 1:]
-    return {head + pair + tail: c
-            for pair, c in theta_image(v1, middle[0], v3, ca, cb).items()}
-
-
 @lru_cache(maxsize=None)
 def _exchange(left, right):
     """The relation that removes the first violation between two columns.
 
     left and right are canonical columns.  Returns None when the pair keeps
-    the row order, and otherwise ((new left, new right), lead * k) for every
-    term k of `theta_expand` on the two-column tableau other than the pair
-    itself, where lead (+1 or -1) is the coefficient of the pair: the pair
-    equals minus the sum of these terms modulo the relations.  Every new
-    left column sorts before left.
+    the row order.  Otherwise let row i hold the pair's first violation
+    (left[i] > right[i], or the two are one odd letter), and let split be
+    the first index past i where right holds an entry above right[i], or
+    len(right).  The relation is `theta_image` of left[:i], the middle block
+    left[i:] + right[:split] sorted, and right[split:]; it contains the pair
+    itself with a coefficient lead of +1 or -1.  Returns ((new left, new
+    right), lead * k) for each of its other terms k: the pair equals minus
+    their sum modulo the relations.  Every new left column sorts before left.
+
+    Two invariants make every violation rewritable:
+      * i + (len(right) - split) <= len(right) - 1, since split > i, so the
+        relation is admissible;
+      * every entry of left[i:] is >= left[i] >= right[i] >= every entry of
+        right[:split], and an entry on both sides equals left[i] == right[i],
+        which is then odd, so the middle block never repeats an even letter.
     """
-    pair = (left, right)
-    violation = find_violation(pair)
-    if violation is None:
+    for i, (x, y) in enumerate(zip(left, right)):
+        if x > y or (x == y and x < 0):
+            break
+    else:
         return None
-    relation = theta_expand(pair, violation)
-    lead = relation.pop(pair)
+    split = next((j for j in range(i + 1, len(right)) if right[j] > y),
+                 len(right))
+    middle = tuple(sorted(left[i:] + right[:split]))
+    relation = theta_image(left[:i], middle, right[split:], len(left), len(right))
+    lead = relation.pop((left, right))
     if lead not in (1, -1):
         raise AssertionError("leading coefficient %d is not a unit" % lead)
     return tuple((other, lead * k) for other, k in relation.items())

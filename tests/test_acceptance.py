@@ -18,8 +18,7 @@ from schurcx import (GF, RATIONALS, FreeComplex, PolyMatrix, PolyRing,
                      koszul_complex, mat_generic_rank, mat_rank_exact,
                      schur_complex, straighten, validate_complex)
 from schurcx.oracles import RelationSpan
-from schurcx.tableaux import (Partition, find_violation, is_standard,
-                              normalize_column, theta_expand)
+from schurcx.tableaux import Partition, _exchange, is_standard, normalize_column
 
 
 def test_straightening_golden():
@@ -39,11 +38,11 @@ def test_straightening_golden():
 
 def test_exchange_relation_signs():
     start = time.monotonic()
-    t = Tableau(((-3, -2, -2), (1, 2, 3), (-1, 3)))
-    expansion = theta_expand(t.columns, find_violation(t.columns))
-    t_a = Tableau(((-3, -2, -2), (-1, 1, 3), (2, 3)))
-    t_b = Tableau(((-3, -2, -2), (-1, 2, 3), (1, 3)))
-    assert expansion == {t.columns: -1, t_a.columns: -1, t_b.columns: 1}
+    # the relation at the first violation of the pair is -pair - a + b, so
+    # pair = -a + b: each term comes back times the lead -1
+    a = ((-1, 1, 3), (2, 3))
+    b = ((-1, 2, 3), (1, 3))
+    assert _exchange((1, 2, 3), (-1, 3)) == ((a, 1), (b, -1))
     assert time.monotonic() - start < 1.0
 
 

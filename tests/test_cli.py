@@ -341,9 +341,11 @@ def test_missing_file_is_parse_error(capsys):
 
 def test_bad_json_is_parse_error(tmp_path, capsys):
     path = tmp_path / "garbage.json"
-    path.write_text("{")
-    assert main(["verify", "--complex", str(path)]) == 2
-    assert "bad JSON" in capsys.readouterr().err
+    # an integer over Python's 4,300-digit limit is refused as it is read
+    for text in ("{", '{"ring": {"coefficients": {"p": 1%s}}}' % ("0" * 5000)):
+        path.write_text(text)
+        assert main(["verify", "--complex", str(path)]) == 2
+        assert "bad JSON" in capsys.readouterr().err
 
 
 def test_bad_shape_is_parse_error(capsys, koszul_file):
@@ -532,6 +534,24 @@ def test_verify_rejects_unproved_characteristic(tmp_path, capsys, p):
     path.write_text(json.dumps(data))
     assert main(["verify", "--complex", str(path)]) == 3
     assert "field characteristic" in capsys.readouterr().err
+
+
+def test_verify_huge_characteristic_is_fast(tmp_path, capsys):
+    data = {
+        "ring": {"coefficients": {"p": 10**4000 + 1}, "variables": ["x"]},
+        "min_degree": 0,
+        "ranks": [1, 1],
+        "differentials": [[["x"]]],
+    }
+    path = tmp_path / "huge_p.json"
+    path.write_text(json.dumps(data))
+    start = time.monotonic()
+    assert main(["verify", "--complex", str(path)]) == 3
+    assert time.monotonic() - start < 1.0
+    assert capsys.readouterr().err == (
+        "invalid complex in %s: field characteristic of 13288 bits is too "
+        "large: primality is proved only below 3317044064679887385961981\n"
+        % path)
 
 
 @pytest.mark.parametrize("ranks, differential, h", [

@@ -8,10 +8,10 @@ import pytest
 from conftest import canonical_columns, partitions
 from schurcx import GF, PolyRing, Tableau, koszul_complex, schur_complex, straighten
 import schurcx.schur
-from schurcx import tableaux
-from schurcx.tableaux import (Partition, _exchange, column_product, find_violation,
-                              normalize_column, theta_expand, theta_image,
-                              wedge_coproduct)
+from schurcx import oracles, tableaux
+from schurcx.oracles import _first_violation, straighten_whole_tableau
+from schurcx.tableaux import (Partition, _exchange, column_product,
+                              normalize_column, theta_image, wedge_coproduct)
 
 
 def _clear_caches():
@@ -41,42 +41,16 @@ def _w1():
     return f, (3, 2)
 
 
-def _straighten_whole_tableau(columns):
-    """Straightening as it ran before exchanges were cached by column pair.
+def _counting_theta_image(module, monkeypatch):
+    """Count the calls to `theta_image` made through module's global name."""
+    calls = []
 
-    Rebuilds the relation of the whole tableau at every step through
-    `tableaux.theta_expand`, looked up when called so that it can be counted.
-    """
-    sign = 1
-    canon = []
-    for col in columns:
-        norm = normalize_column(col)
-        if norm is None:
-            return ()
-        canon.append(norm[0])
-        sign *= norm[1]
-    result = {}
-    pending = {tuple(canon): sign}
-    while pending:
-        t, coeff = pending.popitem()
-        violation = find_violation(t)
-        if violation is None:
-            c = result.get(t, 0) + coeff
-            if c:
-                result[t] = c
-            else:
-                result.pop(t, None)
-            continue
-        relation = tableaux.theta_expand(t, violation)
-        lead = relation.pop(t)
-        assert lead in (1, -1)
-        for other, k in relation.items():
-            c = pending.get(other, 0) - coeff * lead * k
-            if c:
-                pending[other] = c
-            else:
-                pending.pop(other, None)
-    return tuple(sorted(result.items()))
+    def counting(*args):
+        calls.append(args)
+        return theta_image(*args)
+
+    monkeypatch.setattr(module, "theta_image", counting)
+    return calls
 
 
 def test_exchange_of_every_pair_of_columns_up_to_three():
@@ -88,7 +62,7 @@ def test_exchange_of_every_pair_of_columns_up_to_three():
                 for right in canonical_columns(3, 3, cb):
                     relation = _exchange(left, right)
                     assert (relation is None) == (
-                        find_violation((left, right)) is None)
+                        _first_violation((left, right)) is None)
                     if relation is None:
                         continue
                     violating += 1
@@ -100,16 +74,20 @@ def test_exchange_of_every_pair_of_columns_up_to_three():
 
 def test_straightening_finds_violations_through_exchange_only(cold, monkeypatch):
     calls = []
+    exchange = tableaux._exchange
 
-    def counting(columns):
-        calls.append(columns)
-        return find_violation(columns)
+    def counting(left, right):
+        calls.append((left, right))
+        return exchange(left, right)
 
     f, shape = _w1()
-    monkeypatch.setattr(tableaux, "find_violation", counting)
+    monkeypatch.setattr(tableaux, "_exchange", counting)
+    expanded = _counting_theta_image(tableaux, monkeypatch)
     schur_complex(shape, f)
-    assert all(len(columns) == 2 for columns in calls)
-    assert len(calls) == _exchange.cache_info().currsize == 981
+    assert exchange.cache_info().currsize == len(set(calls)) == 981
+    # one relation per violating pair, each built inside `_exchange`
+    assert len(expanded) == sum(exchange(*pair) is not None
+                                for pair in set(calls)) == 549
 
 
 def test_straighten_matches_whole_tableau_relations():
@@ -126,31 +104,26 @@ def test_straighten_matches_whole_tableau_relations():
                                         for c in lengths)
                         assert straighten(Tableau(columns)) == {
                             Tableau(cols): c
-                            for cols, c in _straighten_whole_tableau(columns)}
+                            for cols, c in straighten_whole_tableau(columns)}
                         cases += 1
     assert cases == 9882
 
 
 def test_w1_expands_each_column_pair_once(cold, monkeypatch):
     f, shape = _w1()
-    expanded = []
-
-    def counting(columns, violation):
-        expanded.append(columns)
-        return theta_expand(columns, violation)
-
-    monkeypatch.setattr(tableaux, "theta_expand", counting)
+    expanded = _counting_theta_image(tableaux, monkeypatch)
     s = schur_complex(shape, f)
     assert len(expanded) == 549
     assert len(set(expanded)) == 549
-    assert all(len(columns) == 2 for columns in expanded)
 
     _clear_caches()
     expanded.clear()
+    whole = _counting_theta_image(oracles, monkeypatch)
     monkeypatch.setattr(schurcx.schur, "_straighten_columns",
-                        lru_cache(maxsize=None)(_straighten_whole_tableau))
+                        lru_cache(maxsize=None)(straighten_whole_tableau))
     old = schur_complex(shape, f)
-    assert len(expanded) == 4884
+    assert not expanded
+    assert len(whole) == 4884
     assert old.ranks == s.ranks
     assert old.differentials == s.differentials
 

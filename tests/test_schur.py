@@ -301,3 +301,12 @@ def test_d_squared_zero_prime_fields():
         f = koszul_complex(ring.gens())
         for shape in ((2, 1), (2, 2), (1, 1, 1)):
             assert validate_complex(schur_complex(shape, f)) == []
+
+
+def test_d_squared_zero_with_a_third_column_of_height_two():
+    # S_(3,3) has three columns of height 2: the only d.d check whose
+    # differential reaches an even letter in a tall third column.  A prime
+    # field of odd characteristic, since a sign flip is invisible mod 2.
+    for field in (RATIONALS, GF(3)):
+        f = koszul_complex(PolyRing(field, ("x", "y", "z")).gens())
+        assert validate_complex(schur_complex((3, 3), f)) == []

@@ -11,9 +11,9 @@ from conftest import canonical_columns, partitions
 from schurcx import Tableau, enumerate_standard, straighten
 from schurcx.oracles import (RelationSpan, column_basis, relation_membership,
                              shuffle_mul, tensor_embed)
-from schurcx.tableaux import (Partition, column_is_canonical, column_product,
-                              find_violation, is_standard, normalize_column,
-                              theta_expand, wedge_coproduct)
+from schurcx.tableaux import (Partition, _exchange, column_is_canonical,
+                              column_product, is_standard, normalize_column,
+                              theta_image, wedge_coproduct)
 
 
 def test_conjugate_examples():
@@ -137,36 +137,19 @@ def test_column_is_canonical():
     assert not column_is_canonical((2, 2))
 
 
-def test_find_violation_golden():
-    t = Tableau(((-3, -2, -2), (1, 2, 3), (-1, 3)))
-    v = find_violation(t.columns)
-    assert (v.row, v.col, v.split_row) == (1, 2, 1)
-    assert (v.u, v.v) == (0, 1)
+def test_exchange_equal_negatives():
+    # a repeated odd letter in a row violates (B) even though entries are equal
+    assert _exchange((-1, 1), (-1,)) == ((((-1, -1), (1,)), -1),)
 
 
-def test_find_violation_equal_negatives():
-    # repeated negative in a row violates (B) even though entries are equal
-    t = Tableau(((-1, 1), (-1,)))
-    v = find_violation(t.columns)
-    assert (v.row, v.col) == (1, 1)
-
-
-def test_find_violation_split_row_fallback():
-    # all of column a+1 is <= the offending entry, so the split consumes it
-    t = Tableau(((1, 2), (1, 1)))
-    v = find_violation(t.columns)
-    assert (v.row, v.col) == (2, 1)
-    assert v.split_row == 2
-    assert v.v == 0
-
-
-def test_find_violation_none_on_standard():
-    assert find_violation(Tableau(((-2, -2, 1), (-1, 1), (1, 2))).columns) is None
-
-
-def test_find_violation_requires_sorted_columns():
-    with pytest.raises(ValueError):
-        find_violation(Tableau(((2, 1), (1, 1))).columns)
+def test_exchange_split_takes_whole_right_column():
+    # no entry of the right column is above the offending -1, so the middle
+    # block takes all of it: every term refills both columns
+    assert _exchange((1, 2), (-1, -1)) == (
+        (((-1, -1), (1, 2)), 1), (((-1, 1), (-1, 2)), -1),
+        (((-1, 2), (-1, 1)), 1))
+    # a violation in the last row keeps the head of the left column
+    assert _exchange((1, 3), (1, 2)) == ((((1, 2), (1, 3)), -1),)
 
 
 def test_wedge_product_divided_square():
@@ -201,14 +184,6 @@ def test_wedge_coproduct_size_mismatch():
 def test_wedge_coproduct_counit_shape():
     out = wedge_coproduct((1, 2, 3), (1, 2))
     assert out == {((1,), (2, 3)): 1, ((2,), (1, 3)): -1, ((3,), (1, 2)): 1}
-
-
-def test_theta_expand_golden_signs():
-    t = Tableau(((-3, -2, -2), (1, 2, 3), (-1, 3)))
-    result = theta_expand(t.columns, find_violation(t.columns))
-    t_a = Tableau(((-3, -2, -2), (-1, 1, 3), (2, 3)))
-    t_b = Tableau(((-3, -2, -2), (-1, 2, 3), (1, 3)))
-    assert result == {t.columns: -1, t_a.columns: -1, t_b.columns: 1}
 
 
 def test_straighten_golden():
@@ -402,10 +377,11 @@ def test_tensor_embed_coproduct_identity():
 
 
 def test_relation_membership_of_theta_images():
-    t = Tableau(((-3, -2, -2), (1, 2, 3), (-1, 3)))
-    result = theta_expand(t.columns, find_violation(t.columns))
+    # the relation that `_exchange((1, 2, 3), (-1, 3))` uses, beside (-3, -2, -2)
+    result = theta_image((), (-1, 1, 2, 3), (3,), 3, 2)
     assert relation_membership(
-        {Tableau(k): Fraction(c) for k, c in result.items()}, 3, 3)
+        {Tableau(((-3, -2, -2),) + k): Fraction(c) for k, c in result.items()},
+        3, 3)
 
 
 def test_relation_membership_rejects_basis_vector():
