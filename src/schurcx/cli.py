@@ -26,36 +26,34 @@ class CliError(Exception):
         self.code = code
 
 
-def _load_json(path):
+def _load(path, what, build):
+    """Read the JSON file at path and return build(data).
+
+    what names the contents ("complex" or "tableau") in the messages.  A file
+    that cannot be read or decoded exits 2, deeply nested JSON included (a
+    RecursionError), and so does a KeyError or TypeError from build; a
+    ValueError from build exits 3.
+    """
     try:
         with open(path) as fh:
-            return json.load(fh)
+            data = json.load(fh)
     except OSError as exc:
         raise CliError(PARSE_ERROR, "cannot read %s: %s" % (path, exc))
-    except ValueError as exc:  # bad JSON or UTF-8, or an integer over the digit limit
+    except (ValueError, RecursionError) as exc:
+        # bad JSON or UTF-8, an integer over the digit limit, or nesting too deep
         raise CliError(PARSE_ERROR, "bad JSON in %s: %s" % (path, exc))
-
-
-def _load_complex(path):
-    data = _load_json(path)
     try:
-        return complex_from_dict(data)
+        return build(data)
     except (KeyError, TypeError) as exc:
-        raise CliError(PARSE_ERROR, "bad complex file %s: %s" % (path, exc))
+        raise CliError(PARSE_ERROR, "bad %s file %s: %s" % (what, path, exc))
     except ValueError as exc:
-        raise CliError(INVALID_INPUT, "invalid complex in %s: %s" % (path, exc))
+        raise CliError(INVALID_INPUT, "invalid %s in %s: %s" % (what, path, exc))
 
 
-def _load_tableau(path):
-    data = _load_json(path)
-    try:
-        shape = Partition(_array(data["shape"], "shape"))
-        records = [_array(r, "a record") for r in _array(data["entries"], "entries")]
-        return Tableau.from_entries(shape, records)
-    except (KeyError, TypeError) as exc:
-        raise CliError(PARSE_ERROR, "bad tableau file %s: %s" % (path, exc))
-    except ValueError as exc:
-        raise CliError(INVALID_INPUT, "invalid tableau in %s: %s" % (path, exc))
+def _tableau_from_dict(data):
+    shape = Partition(_array(data["shape"], "shape"))
+    records = [_array(r, "a record") for r in _array(data["entries"], "entries")]
+    return Tableau.from_entries(shape, records)
 
 
 def _emit(data, out):
@@ -86,7 +84,7 @@ def _parse_point(text, ring):
 
 
 def cmd_straighten(args):
-    result = straighten(_load_tableau(args.tableau))
+    result = straighten(_load(args.tableau, "tableau", _tableau_from_dict))
     payload = [{"coefficient": c, "tableau": t.to_entries()}
                for t, c in result.items()]
     _emit(payload, args.out)
@@ -106,7 +104,7 @@ def _parse_shape(text):
 
 def cmd_schur(args):
     shape = _parse_shape(args.shape)
-    f = _load_complex(args.complex)
+    f = _load(args.complex, "complex", complex_from_dict)
     problems = validate_complex(f)
     if problems:
         for p in problems:
@@ -135,7 +133,7 @@ def cmd_schur(args):
 
 
 def cmd_verify(args):
-    f = _load_complex(args.complex)
+    f = _load(args.complex, "complex", complex_from_dict)
     problems = validate_complex(f)
     if problems:
         for p in problems:
@@ -146,7 +144,7 @@ def cmd_verify(args):
 
 
 def cmd_ranks(args):
-    f = _load_complex(args.complex)
+    f = _load(args.complex, "complex", complex_from_dict)
     d_ranks = [mat_generic_rank(d, trials=args.trials, seed=args.seed)
                for d in f.differentials]
     print("degrees %d..%d, ranks %s" % (
@@ -159,7 +157,7 @@ def cmd_ranks(args):
 
 
 def cmd_homology(args):
-    f = _load_complex(args.complex)
+    f = _load(args.complex, "complex", complex_from_dict)
     point = _parse_point(args.point, f.ring)
     for k, h in zip(f.degrees(), homology_ranks_at_point(f, point)):
         print("h_%d = %d" % (k, h))

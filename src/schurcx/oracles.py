@@ -3,6 +3,7 @@
 `tensor_embed` realizes the column sign rules inside the tensor algebra, and
 `relation_membership` tests a tableau combination against the span of the
 quadratic exchange relations.  Both are exponential in the number of boxes.
+`is_standard` decides standardness from its definition.
 `straighten_whole_tableau` is the reference straightener: it rebuilds the
 relation of the whole tableau at each step instead of looking it up by a
 pair of columns.  No core module imports this one.
@@ -131,6 +132,18 @@ def _first_violation(columns):
             if x > y or (x == y and x < 0):
                 return a, row
     return None
+
+
+def is_standard(t):
+    """Whether a Tableau is standard, decided from the definition.
+
+    Every column is canonical (weakly increasing, repeating only negative
+    entries) and `_first_violation` finds no row violation.  It never calls
+    `_exchange`, the straightener's own scan for violations.
+    """
+    cols = t.columns
+    return (all(a < b or a == b < 0 for col in cols for a, b in zip(col, col[1:]))
+            and _first_violation(cols) is None)
 
 
 def straighten_whole_tableau(columns):

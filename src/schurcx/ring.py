@@ -10,8 +10,8 @@ arithmetic reduces its sums mod p and drops their zeros in one place,
 stored sparse columns: `mat_mul` groups each column's scalars by monomial
 and adds plain numbers, and Bareiss uses the term-map kernels
 `add_product`, `reduce_terms` and `exact_quotient`.  Ranks at a given
-point are exact; over the rationals a value whose size estimate exceeds
-`MAX_VALUE_BITS` bits is refused before it is computed.  Generic ranks
+point are exact; over the rationals a term whose size estimate exceeds
+`MAX_VALUE_BITS` bits is refused just before it would be computed.  Generic ranks
 (`mat_generic_rank`) are Monte Carlo lower bounds; over the rationals each
 random specialization is evaluated modulo a random prime in [2^30, 2^31)
 and ranked there, since the rank mod a prime is at most the rank over QQ.
@@ -275,26 +275,11 @@ class Polynomial:
     def evaluate(self, point):
         """Evaluate at a point (one scalar per ring variable), exactly.
 
-        Over QQ a term whose value would exceed MAX_VALUE_BITS raises
-        ValueError before anything is computed.
+        Over QQ a term that would exceed MAX_VALUE_BITS raises ValueError
+        just before it is computed.
         """
-        return self._value_at(_coerce_point(self.ring, point), self.ring.field)
-
-    def _value_at(self, point, field):
-        """Value at a point of scalars of field: the ring's field or, over
-        QQ, a GF(q) that each coefficient is taken into first."""
-        p = field.p
-        if p is None:
-            _check_value_size(self.terms, point)
-        total = 0
-        for exps, c in self.terms.items():
-            if p is not None:
-                c = field.coerce(c)
-            for x, e in zip(point, exps):
-                if e:
-                    c = c * x ** e if p is None else c * pow(x, e, p) % p
-            total += c
-        return total if p is None else total % p
+        point = _coerce_point(self.ring, point)
+        return _values_at([{0: self}], point, self.ring.field)[0][0]
 
     def __str__(self):
         return format_polynomial(self)
@@ -349,17 +334,38 @@ def exact_quotient(field, num, den):
     return q
 
 
-def _check_value_size(terms, point):
-    """Raise ValueError when a term at the rational point may exceed
-    MAX_VALUE_BITS: x^e adds e times the bit length of max(|num x|, den x),
-    and 0 and +-1 add nothing."""
-    sizes = [0 if x in (0, 1, -1)
-             else max(abs(x.numerator), x.denominator).bit_length()
-             for x in point]
-    for exps in terms:
-        if sum(map(mul, exps, sizes)) > MAX_VALUE_BITS:
-            raise ValueError("the value at the point would exceed %d bits, the "
-                             "bound for exact evaluation" % MAX_VALUE_BITS)
+def _values_at(columns, point, field):
+    """The values of columns {row: Polynomial} at a point of field scalars.
+
+    field is the ring's field or, over QQ, a GF(q) that each coefficient is
+    taken into first.  Over QQ a term whose value may exceed MAX_VALUE_BITS
+    raises ValueError just before it would be computed: x^e adds e times the
+    bit length of max(|num x|, den x), and 0 and +-1 add nothing.
+    """
+    p = field.p
+    if p is None:
+        sizes = [0 if x in (0, 1, -1)
+                 else max(abs(x.numerator), x.denominator).bit_length()
+                 for x in point]
+    out = []
+    for col in columns:
+        values = {}
+        for i, f in col.items():
+            total = 0
+            for exps, c in f.terms.items():
+                if p is not None:
+                    c = field.coerce(c)
+                elif sum(map(mul, exps, sizes)) > MAX_VALUE_BITS:
+                    raise ValueError("the value at the point would exceed %d "
+                                     "bits, the bound for exact evaluation"
+                                     % MAX_VALUE_BITS)
+                for x, e in zip(point, exps):
+                    if e:
+                        c = c * x ** e if p is None else c * pow(x, e, p) % p
+                total += c
+            values[i] = total if p is None else total % p
+        out.append(values)
+    return out
 
 
 def _coerce_point(ring, point):
@@ -429,24 +435,14 @@ def format_polynomial(p):
     """Canonical text form: terms in descending lex order of exponents."""
     if not p.terms:
         return "0"
-    field = p.ring.field
     pieces = []
     for exps in sorted(p.terms, reverse=True):
         c = p.terms[exps]
         mono = _format_monomial(p.ring, exps)
-        if field.is_rational:
-            neg = c < 0
-            mag = -c if neg else c
-            if mono and mag == 1:
-                body = mono
-            elif mono:
-                body = "%s*%s" % (mag, mono)
-            else:
-                body = str(mag)
-            pieces.append(("-" if neg else "+", body))
-        else:
-            body = "%d*%s" % (c, mono) if mono and c != 1 else (mono or str(c))
-            pieces.append(("+", body))
+        neg = c < 0  # never over GF(p), whose scalars lie in [0, p)
+        mag = -c if neg else c
+        body = "%s*%s" % (mag, mono) if mono and mag != 1 else (mono or str(mag))
+        pieces.append(("-" if neg else "+", body))
     sign, body = pieces[0]
     out = ("-" if sign == "-" else "") + body
     for sign, body in pieces[1:]:
@@ -572,15 +568,11 @@ class PolyMatrix:
         """The matrix specialized at a point, as sparse columns.
 
         One dict {row: field scalar} per column, holding the value of each
-        stored entry; a value may be zero.  Over QQ an entry whose value
-        would exceed MAX_VALUE_BITS raises ValueError.
+        stored entry; a value may be zero.  Over QQ a term that would exceed
+        MAX_VALUE_BITS raises ValueError just before it is computed.
         """
-        return self._values_at(_coerce_point(self.ring, point), self.ring.field)
-
-    def _values_at(self, point, field):
-        """`evaluate` at a point of field scalars; see `Polynomial._value_at`."""
-        return [{i: p._value_at(point, field) for i, p in col.items()}
-                for col in self.columns]
+        point = _coerce_point(self.ring, point)
+        return _values_at(self.columns, point, self.ring.field)
 
     def to_strings(self):
         return self._dense("0", format_polynomial)
@@ -735,7 +727,8 @@ def _values_mod_random_prime(a, point, rng):
     while True:
         field = GF(random_prime(rng))
         try:
-            return field, a._values_at([field.coerce(x) for x in point], field)
+            return field, _values_at(a.columns, [field.coerce(x) for x in point],
+                                     field)
         except ValueError:  # q divides a denominator
             continue
 

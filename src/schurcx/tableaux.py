@@ -204,21 +204,6 @@ def normalize_column(entries):
     return tuple(work), sign
 
 
-def column_is_canonical(entries):
-    return all(a <= b and (a != b or a < 0) for a, b in zip(entries, entries[1:]))
-
-
-def is_standard(t):
-    """Columns weakly increase (repeats negative), rows too (repeats positive).
-
-    That is: every column is canonical and every adjacent pair of columns
-    keeps the row order (its `_exchange` is None).
-    """
-    cols = t.columns
-    return (all(map(column_is_canonical, cols))
-            and all(_exchange(a, b) is None for a, b in zip(cols, cols[1:])))
-
-
 # -- column algebra ----------------------------------------------------------
 
 @lru_cache(maxsize=None)

@@ -3,7 +3,16 @@
 import itertools
 import random
 
-from schurcx import FreeComplex, PolyMatrix, PolyRing, RATIONALS
+import pytest
+
+from schurcx import FreeComplex, PolyMatrix, PolyRing, RATIONALS, koszul_complex
+from schurcx.tableaux import Partition, normalize_column
+
+
+@pytest.fixture
+def koszul_xy():
+    ring = PolyRing(RATIONALS, ("x", "y"))
+    return koszul_complex(ring.gens())
 
 
 def partitions(r, cap=None):
@@ -17,12 +26,39 @@ def partitions(r, cap=None):
             yield (first,) + rest
 
 
-def canonical_columns(m, n, length):
-    """Every canonical column of the given length over {-m..-1, 1..n}."""
-    for k in range(length + 1):
-        for negs in itertools.combinations_with_replacement(range(-m, 0), k):
-            for poss in itertools.combinations(range(1, n + 1), length - k):
-                yield negs + poss
+def random_canonical_column(rng, length, m, n):
+    """A canonical column of the given length over {-m..-1, 1..n}, drawn by
+    rng from the words that do not vanish."""
+    while True:
+        entries = []
+        for _ in range(length):
+            v = rng.randint(1, m + n)
+            entries.append(-v if v <= m else v - m)
+        norm = normalize_column(entries)
+        if norm is not None:
+            return norm[0]
+
+
+def count_semistandard(shape, n):
+    """Fillings of the shape by 1..n, strict down columns and weak along
+    rows: the standard tableaux with even entries only, counted without
+    the package's own standardness test."""
+    shape = Partition(shape)
+    boxes = [(i, j) for i, c in enumerate(shape.column_lengths())
+             for j in range(c)]
+    count = 0
+    for fill in itertools.product(range(1, n + 1), repeat=len(boxes)):
+        grid = {}
+        for (i, j), v in zip(boxes, fill):
+            grid[i, j] = v
+        ok = True
+        for (i, j), v in grid.items():
+            if (i, j + 1) in grid and grid[i, j + 1] <= v:
+                ok = False  # strict down columns
+            if (i + 1, j) in grid and grid[i + 1, j] < v:
+                ok = False  # weak along rows
+        count += ok
+    return count
 
 
 def generic_matrix_complex(nrows, ncols, field=RATIONALS):

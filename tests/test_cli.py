@@ -348,6 +348,26 @@ def test_bad_json_is_parse_error(tmp_path, capsys):
         assert "bad JSON" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--complex"],
+    ["ranks", "--complex"],
+    ["homology", "--point", "1,2", "--complex"],
+    ["schur", "--shape", "2", "--complex"],
+    ["straighten", "--tableau"],
+])
+def test_deeply_nested_json_is_parse_error(tmp_path, argv):
+    # the decoder raises RecursionError, not ValueError, on nesting this
+    # deep; run in a subprocess, where an escaped one prints a traceback
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    proc = subprocess.run(
+        [sys.executable, "-m", "schurcx.cli", *argv, str(path)],
+        capture_output=True, text=True, env=_src_env(), timeout=2.0)
+    assert proc.returncode == 2, proc.stderr
+    assert "bad JSON in" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_bad_shape_is_parse_error(capsys, koszul_file):
     assert main(["schur", "--complex", koszul_file, "--shape", "3,x"]) == 2
     assert "bad shape" in capsys.readouterr().err

@@ -17,12 +17,6 @@ from schurcx.ring import _coerce_point
 from schurcx.schur import SchurBasis, schur_complex
 
 
-@pytest.fixture
-def koszul_xy():
-    ring = PolyRing(RATIONALS, ("x", "y"))
-    return koszul_complex(ring.gens())
-
-
 def test_koszul_two_elements(koszul_xy):
     f = koszul_xy
     assert f.min_degree == 0

@@ -5,11 +5,12 @@ from functools import lru_cache
 
 import pytest
 
-from conftest import canonical_columns, partitions
+from conftest import partitions
 from schurcx import GF, PolyRing, Tableau, koszul_complex, schur_complex, straighten
 import schurcx.schur
 from schurcx import oracles, tableaux
-from schurcx.oracles import _first_violation, straighten_whole_tableau
+from schurcx.oracles import (_first_violation, column_basis,
+                             straighten_whole_tableau)
 from schurcx.tableaux import (Partition, _exchange, column_product,
                               normalize_column, theta_image, wedge_coproduct)
 
@@ -58,8 +59,8 @@ def test_exchange_of_every_pair_of_columns_up_to_three():
     violating = terms = 0
     for ca in range(1, 4):
         for cb in range(1, ca + 1):
-            for left in canonical_columns(3, 3, ca):
-                for right in canonical_columns(3, 3, cb):
+            for left in column_basis(ca, 3, 3):
+                for right in column_basis(cb, 3, 3):
                     relation = _exchange(left, right)
                     assert (relation is None) == (
                         _first_violation((left, right)) is None)

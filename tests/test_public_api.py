@@ -1,11 +1,14 @@
-"""The `schurcx` namespace exports exactly what the README documents."""
+"""The `schurcx` namespace exports exactly what the README documents, and
+no core module imports the test oracles."""
 
+import ast
 import re
 from pathlib import Path
 
 import schurcx
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+PACKAGE = Path(schurcx.__file__).resolve().parent
 
 
 def _documented_names():
@@ -22,3 +25,24 @@ def _documented_names():
 def test_all_is_what_the_readme_documents():
     assert set(schurcx.__all__) == _documented_names()
     assert all(hasattr(schurcx, name) for name in schurcx.__all__)
+
+
+def _imported_modules(tree):
+    """Every module an import statement in the tree names, as written, with
+    `from X import a` giving both X and X.a."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = "." * node.level + (node.module or "")
+            yield base
+            for alias in node.names:
+                yield base + ("" if base.endswith(".") else ".") + alias.name
+
+
+def test_no_core_module_imports_the_oracles():
+    modules = sorted(p for p in PACKAGE.glob("*.py") if p.name != "oracles.py")
+    assert modules
+    for path in modules:
+        names = list(_imported_modules(ast.parse(path.read_text())))
+        assert not [n for n in names if "oracles" in n.split(".")], path.name

@@ -4,19 +4,14 @@ from math import comb
 
 import pytest
 
-from conftest import (canonical_columns, generic_matrix_complex, partitions,
-                      random_three_term, signed_perm_match)
+from conftest import (generic_matrix_complex, partitions, random_three_term,
+                      signed_perm_match)
 from schurcx import (GF, RATIONALS, FreeComplex, PolyMatrix, PolyRing,
                      SchurBasis, Tableau, enumerate_standard, exterior_power,
                      koszul_complex, schur_complex, symmetric_power,
                      validate_complex)
+from schurcx.oracles import column_basis
 from schurcx.tableaux import Partition, column_product
-
-
-@pytest.fixture
-def koszul_xy():
-    ring = PolyRing(RATIONALS, ("x", "y"))
-    return koszul_complex(ring.gens())
 
 
 def total_degree(basis, t):
@@ -237,7 +232,7 @@ def test_replace_terms_is_column_product():
     cases = 0
     for m, n in ((3, 3), (2, 4), (4, 1)):
         for length in range(1, 6):
-            for col in canonical_columns(m, n, length):
+            for col in column_basis(length, m, n):
                 for pos, v in enumerate(col):
                     if pos > 0 and col[pos - 1] == v:
                         continue  # only the first letter of a run is replaced

@@ -3,17 +3,16 @@
 import itertools
 import random
 from fractions import Fraction
-from math import comb
+from math import comb, prod
 
 import pytest
 
-from conftest import canonical_columns, partitions
+from conftest import count_semistandard, partitions, random_canonical_column
 from schurcx import Tableau, enumerate_standard, straighten
-from schurcx.oracles import (RelationSpan, column_basis, relation_membership,
-                             shuffle_mul, tensor_embed)
-from schurcx.tableaux import (Partition, _exchange, column_is_canonical,
-                              column_product, is_standard, normalize_column,
-                              theta_image, wedge_coproduct)
+from schurcx.oracles import (RelationSpan, column_basis, is_standard,
+                             relation_membership, shuffle_mul, tensor_embed)
+from schurcx.tableaux import (Partition, _exchange, column_product,
+                              normalize_column, theta_image, wedge_coproduct)
 
 
 def test_conjugate_examples():
@@ -96,7 +95,7 @@ def test_normalize_column_mixed_anticommutes():
 def test_normalize_column_idempotent_on_canonical():
     rng = random.Random(5)
     for _ in range(50):
-        col = _random_canonical_column(rng, rng.randint(1, 4), 3, 3)
+        col = random_canonical_column(rng, rng.randint(1, 4), 3, 3)
         assert normalize_column(col) == (col, 1)
 
 
@@ -110,21 +109,10 @@ def _inversion_sign(word):
     return sign
 
 
-def _random_canonical_column(rng, length, m, n):
-    while True:
-        entries = []
-        for _ in range(length):
-            v = rng.randint(1, m + n)
-            entries.append(-v if v <= m else v - m)
-        norm = normalize_column(entries)
-        if norm is not None:
-            return norm[0]
-
-
 def test_normalize_column_sign_matches_inversion_count():
     rng = random.Random(6)
     for _ in range(200):
-        col = _random_canonical_column(rng, rng.randint(2, 5), 3, 3)
+        col = random_canonical_column(rng, rng.randint(2, 5), 3, 3)
         word = list(col)
         rng.shuffle(word)
         got = normalize_column(word)
@@ -132,9 +120,10 @@ def test_normalize_column_sign_matches_inversion_count():
 
 
 def test_column_is_canonical():
-    assert column_is_canonical((-2, -2, 1, 3))
-    assert not column_is_canonical((1, -2))
-    assert not column_is_canonical((2, 2))
+    # a single column is standard exactly when it is canonical
+    assert is_standard(Tableau(((-2, -2, 1, 3),)))
+    assert not is_standard(Tableau(((1, -2),)))
+    assert not is_standard(Tableau(((2, 2),)))
 
 
 def test_exchange_equal_negatives():
@@ -234,7 +223,7 @@ def _random_tableau(rng, m, n, max_r=6):
     lengths = Partition(shape).column_lengths()
     cols = []
     for c in lengths:
-        cols.append(_random_canonical_column(rng, c, m, n))
+        cols.append(random_canonical_column(rng, c, m, n))
     return Tableau(cols)
 
 
@@ -282,27 +271,27 @@ def test_enumerate_matches_semistandard_brute_force():
     for n in (2, 3):
         for r in range(1, 5):
             for shape in partitions(r):
-                count = _count_semistandard(shape, n)
+                count = count_semistandard(shape, n)
                 assert len(enumerate_standard(shape, 0, n)) == count
 
 
-def _count_semistandard(shape, n):
-    shape = Partition(shape)
-    boxes = [(i, j) for i, c in enumerate(shape.column_lengths())
-             for j in range(c)]
-    count = 0
-    for fill in itertools.product(range(1, n + 1), repeat=len(boxes)):
-        grid = {}
-        for (i, j), v in zip(boxes, fill):
-            grid[i, j] = v
-        ok = True
-        for (i, j), v in grid.items():
-            if (i, j + 1) in grid and grid[i, j + 1] <= v:
-                ok = False  # strict down columns
-            if (i + 1, j) in grid and grid[i + 1, j] < v:
-                ok = False  # weak along rows
-        count += ok
-    return count
+def test_enumerate_matches_the_standardness_oracle():
+    # every filling by canonical columns, odd letters included, in the
+    # product order of sorted column lists, which is reading-word order
+    cases = fillings = standard = 0
+    for size in range(1, 6):
+        for shape in partitions(size):
+            lengths = Partition(shape).column_lengths()
+            for m in range(4):
+                for n in range(4):
+                    spaces = [column_basis(c, m, n) for c in lengths]
+                    want = [t for t in map(Tableau, itertools.product(*spaces))
+                            if is_standard(t)]
+                    assert enumerate_standard(shape, m, n) == want
+                    fillings += prod(map(len, spaces))
+                    standard += len(want)
+                    cases += 1
+    assert (cases, fillings, standard) == (288, 47156, 6624)
 
 
 def test_enumerate_order_is_canonical():
@@ -339,7 +328,7 @@ def test_tensor_embed_exterior_block():
 
 def test_tensor_embed_product_identity():
     columns = [col for length in (1, 2, 3)
-               for col in canonical_columns(2, 3, length)]
+               for col in column_basis(length, 2, 3)]
     cases = 0
     for x in columns:
         for y in columns:
@@ -359,7 +348,7 @@ def test_tensor_embed_product_identity():
 def test_tensor_embed_coproduct_identity():
     cases = 0
     for size in range(1, 6):
-        for x in canonical_columns(2, 3, size):
+        for x in column_basis(size, 2, 3):
             for p in range(size + 1):
                 lhs = {}
                 for (left, right), s in wedge_coproduct(x, (p, size - p)).items():
