@@ -1,8 +1,8 @@
 """Command line front end: straighten, schur, verify, ranks, homology.
 
 Exit codes: 0 success, 1 failed verification, 2 unreadable or unparseable
-input, 3 structurally invalid input, 4 internal consistency failure (an
-output complex whose differentials do not square to zero).
+input or unwritable --out file, 3 structurally invalid input, 4 internal
+consistency failure (output differentials that do not square to zero).
 """
 
 import argparse
@@ -56,13 +56,20 @@ def _tableau_from_dict(data):
     return Tableau.from_entries(shape, records)
 
 
+def _write_json(data, fh):
+    # streamed: the whole text of a large complex is never held at once
+    json.dump(data, fh, indent=2, sort_keys=True)
+    fh.write("\n")
+
+
 def _emit(data, out):
-    text = json.dumps(data, indent=2, sort_keys=True) + "\n"
-    if out:
+    if not out:
+        return _write_json(data, sys.stdout)
+    try:
         with open(out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+            _write_json(data, fh)
+    except OSError as exc:
+        raise CliError(PARSE_ERROR, "cannot write %s: %s" % (out, exc))
 
 
 def _parse_point(text, ring):
@@ -112,8 +119,7 @@ def cmd_schur(args):
         return INVALID_INPUT
     if args.conjugate:
         shape = shape.conjugate()
-    basis = SchurBasis(shape, f)
-    s = schur_complex(basis, f)
+    s = schur_complex(shape, f)
     problems = validate_complex(s)
     if problems:
         print("internal error: output differentials do not compose to zero",
@@ -121,8 +127,9 @@ def cmd_schur(args):
         for p in problems:
             print(p, file=sys.stderr)
         return INTERNAL_ERROR
+    basis = SchurBasis(shape, f)
     payload = complex_to_dict(s)
-    payload["shape"] = list(shape.parts)
+    payload["shape"] = list(shape)
     payload["basis"] = [
         {"degree": k, "tableaux": [t.to_entries() for t in basis.at(k)]}
         for k in basis.degrees()

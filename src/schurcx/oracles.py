@@ -220,9 +220,7 @@ class RelationSpan:
     """
 
     def __init__(self, shape, m, n):
-        if not isinstance(shape, Partition):
-            shape = Partition(shape)
-        self.shape = shape
+        self.shape = shape = Partition(shape)
         self.m = m
         self.n = n
         lengths = shape.column_lengths()

@@ -176,11 +176,13 @@ class PolyRing:
         return tuple(self.variable(v) for v in self.variables)
 
     def polynomial(self, terms):
-        """Build a polynomial from {exponent tuple: scalar}, dropping zeros."""
+        """Build a polynomial from {exponent tuple: scalar}, dropping zeros;
+        each tuple holds one non-negative int exponent per variable."""
         clean = {}
         for exps, c in terms.items():
             exps = tuple(exps)
-            if len(exps) != self.nvars or any(e < 0 for e in exps):
+            if len(exps) != self.nvars or not all(
+                    type(e) is int and e >= 0 for e in exps):  # not float, not bool
                 raise ValueError("bad exponent tuple %r" % (exps,))
             c = self.field.coerce(c)
             if c:

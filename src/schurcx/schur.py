@@ -16,14 +16,9 @@ from .tableaux import (Partition, column_product, enumerate_standard,
                        _straighten_columns)
 
 
-def _graded_ranks(f):
-    return {k: f.rank_at(k) for k in f.degrees() if f.rank_at(k)}
-
-
 class SchurBasis:
     """Standard tableaux of one shape over a complex, grouped by degree.
 
-    `graded_ranks` maps each degree where F is nonzero to its rank there.
     `position` maps each entry label to the (degree, index) of its basis
     vector of F and `degree` maps it to that degree alone.  Labels -m..-1
     name the m basis vectors of odd degree and 1..n the n of even degree,
@@ -34,13 +29,10 @@ class SchurBasis:
     """
 
     def __init__(self, shape, f):
-        if not isinstance(shape, Partition):
-            shape = Partition(shape)
-        self.shape = shape
-        self.graded_ranks = _graded_ranks(f)
+        self.shape = shape = Partition(shape)
         odd, even = [], []
-        for k, r in self.graded_ranks.items():
-            (odd if k % 2 else even).extend((k, i) for i in range(r))
+        for k in f.degrees():
+            (odd if k % 2 else even).extend((k, i) for i in range(f.rank_at(k)))
         labels = list(range(-len(odd), 0)) + list(range(1, len(even) + 1))
         self.position = dict(zip(labels, odd + even))
         self.degree = {v: k for v, (k, _) in self.position.items()}
@@ -63,7 +55,7 @@ class SchurBasis:
 
     def __repr__(self):
         return "SchurBasis(%r, degrees %d..%d)" % (
-            list(self.shape.parts), self.min_degree, self.max_degree)
+            list(self.shape), self.min_degree, self.max_degree)
 
 
 def _entry_differential_table(f, basis):
@@ -123,18 +115,11 @@ def schur_complex(shape, f):
 
     Term ranks count standard tableaux per total degree (gaps get rank 0)
     and column j of the differential from degree k is the image of the j-th
-    standard tableau of degree k, in the canonical tableau order.  The shape
-    may also be given as its SchurBasis over f, already enumerated; a basis
-    built over a complex of other graded ranks raises ValueError.
+    standard tableau of degree k, in the canonical tableau order.  A shape
+    with no standard tableau over f gives the zero complex in degree 0.
     """
-    basis = shape if isinstance(shape, SchurBasis) else SchurBasis(shape, f)
-    graded_ranks = _graded_ranks(f)
-    if basis.graded_ranks != graded_ranks:
-        raise ValueError("the basis labels a complex of graded ranks %s, not %s"
-                         % (basis.graded_ranks, graded_ranks))
+    basis = SchurBasis(shape, f)
     ring = f.ring
-    if basis.is_empty():
-        return FreeComplex(ring, 0, (0,), ())
     table = _entry_differential_table(f, basis)
     degrees = list(basis.degrees())
     ranks = [len(basis.at(k)) for k in degrees]

@@ -57,51 +57,41 @@ from functools import lru_cache
 from math import comb, prod
 
 
-class Partition:
-    """A weakly decreasing tuple of positive row lengths."""
+class Partition(tuple):
+    """A weakly decreasing tuple of positive row lengths, validated on creation."""
 
-    __slots__ = ("parts",)
+    __slots__ = ()
 
-    def __init__(self, parts):
-        parts = tuple(parts)
-        if not all(type(p) is int for p in parts):  # not float, not bool
+    def __new__(cls, parts):
+        self = super().__new__(cls, parts)
+        if not all(type(p) is int for p in self):  # not float, not bool
             raise ValueError("partition parts must be integers")
-        if any(p <= 0 for p in parts):
+        if any(p <= 0 for p in self):
             raise ValueError("partition parts must be positive")
-        if any(a < b for a, b in zip(parts, parts[1:])):
+        if any(a < b for a, b in zip(self, self[1:])):
             raise ValueError("partition parts must weakly decrease")
-        self.parts = parts
+        return self
+
+    @property
+    def parts(self):
+        return tuple(self)
 
     @property
     def size(self):
-        return sum(self.parts)
+        return sum(self)
 
     def column_lengths(self):
         """Lengths of the columns of the Young diagram."""
-        if not self.parts:
+        if not self:
             return ()
-        return tuple(sum(1 for p in self.parts if p >= i)
-                     for i in range(1, self.parts[0] + 1))
+        return tuple(sum(1 for p in self if p >= i)
+                     for i in range(1, self[0] + 1))
 
     def conjugate(self):
         return Partition(self.column_lengths())
 
-    def __iter__(self):
-        return iter(self.parts)
-
-    def __len__(self):
-        return len(self.parts)
-
-    def __eq__(self, other):
-        if isinstance(other, Partition):
-            return self.parts == other.parts
-        return self.parts == tuple(other)
-
-    def __hash__(self):
-        return hash(self.parts)
-
     def __repr__(self):
-        return "Partition(%s)" % (list(self.parts),)
+        return "Partition(%s)" % (list(self),)
 
 
 class Tableau:
@@ -125,8 +115,7 @@ class Tableau:
     @classmethod
     def from_entries(cls, shape, entries):
         """Build from a shape (row lengths) and [column, row, value] records."""
-        if not isinstance(shape, Partition):
-            shape = Partition(shape)
+        shape = Partition(shape)
         entries = list(entries)
         # checked before any per-box work, which a huge shape makes unbounded
         if len(entries) != shape.size:
@@ -378,9 +367,7 @@ def enumerate_standard(shape, m, n):
     In column reading word order: the search fills the boxes in that order
     and tries values in ascending order.  The empty shape raises ValueError.
     """
-    if not isinstance(shape, Partition):
-        shape = Partition(shape)
-    lengths = shape.column_lengths()
+    lengths = Partition(shape).column_lengths()
     if not lengths:
         raise ValueError("the empty shape () has no boxes to fill")
     values = list(range(-m, 0)) + list(range(1, n + 1))

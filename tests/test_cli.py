@@ -368,6 +368,28 @@ def test_deeply_nested_json_is_parse_error(tmp_path, argv):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("command", ["schur", "straighten"])
+@pytest.mark.parametrize("target", ["missing/dir/x.json", ".", "/dev/full"])
+def test_unwritable_out_is_parse_error(tmp_path, koszul_file, command, target):
+    # a missing directory, a directory, and a full device (ENOSPC on write);
+    # run in a subprocess, where an escaped OSError prints a traceback
+    if target == "/dev/full" and not os.path.exists(target):
+        pytest.skip("no /dev/full here")
+    if command == "schur":
+        argv = ["schur", "--complex", koszul_file, "--shape", "2,1"]
+    else:
+        argv = ["straighten", "--tableau",
+                _write_tableau(tmp_path, (2, 1), ((2, 1), (3,)))]
+    proc = subprocess.run(
+        [sys.executable, "-m", "schurcx.cli", *argv, "--out", target],
+        capture_output=True, text=True, env=_src_env(), cwd=tmp_path,
+        timeout=10.0)
+    assert proc.returncode == 2, proc.stderr
+    assert "cannot write %s" % target in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
 def test_bad_shape_is_parse_error(capsys, koszul_file):
     assert main(["schur", "--complex", koszul_file, "--shape", "3,x"]) == 2
     assert "bad shape" in capsys.readouterr().err

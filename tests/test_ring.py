@@ -189,6 +189,14 @@ def test_is_prime():
     assert GF(2 ** 61 - 1).p == 2 ** 61 - 1
 
 
+def test_polynomial_refuses_bad_exponents():
+    ring = PolyRing(RATIONALS, ("x",))
+    for exps in ((-1,), (1.5,), (True,), ("a",)):
+        with pytest.raises(ValueError, match="bad exponent tuple"):
+            ring.polynomial({exps: 1})
+    assert ring.polynomial({(2,): 1}) == ring.parse("x^2")
+
+
 def test_gf_arithmetic():
     f = GF(7)
     assert f.coerce(5 + 4) == 2

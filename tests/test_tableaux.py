@@ -33,6 +33,18 @@ def test_partition_validation():
         Partition((2, 3))
     with pytest.raises(ValueError):
         Partition((3, 0))
+    for parts in ((2.0, 1), (True,)):  # not float, not bool
+        with pytest.raises(ValueError, match="must be integers"):
+            Partition(parts)
+
+
+def test_partition_is_its_tuple():
+    p = Partition((2, 1))
+    assert isinstance(p, tuple)
+    assert p == (2, 1) and hash(p) == hash((2, 1))
+    assert Partition(p) == p and type(Partition(p)) is Partition
+    assert p.parts == (2, 1) and p.size == 3
+    assert repr(p) == "Partition([2, 1])"
 
 
 def test_column_lengths():
