@@ -124,7 +124,7 @@ def koszul_complex(elements):
                 sign = 1 if l % 2 == 0 else -1
                 p = elements[elem] * sign
                 if p.terms:
-                    mat.columns[col][row] = p
+                    mat.columns[col][row] = p.terms
         diffs.append(mat)
     return FreeComplex(ring, 0, [len(lvl) for lvl in levels], diffs)
 

@@ -6,15 +6,16 @@ scalar is a plain Python number: over the rationals an int, or a Fraction
 when it is not an integer; over a prime field an int in [0, p).
 `CoefficientField.coerce` is the one way into the field, and polynomial
 arithmetic reduces its sums mod p and drops their zeros in one place,
-`reduce_terms`.  Matrix products and Bareiss elimination both work on the
-stored sparse columns: `mat_mul` groups each column's scalars by monomial
-and adds plain numbers, and Bareiss uses the term-map kernels
-`add_product`, `reduce_terms` and `exact_quotient`.  Ranks at a given
-point are exact; over the rationals a term whose size estimate exceeds
-`MAX_VALUE_BITS` bits is refused just before it would be computed.  Generic ranks
-(`mat_generic_rank`) are Monte Carlo lower bounds; over the rationals each
-random specialization is evaluated modulo a random prime in [2^30, 2^31)
-and ranked there, since the rank mod a prime is at most the rank over QQ.
+`reduce_terms`.  A matrix stores each nonzero entry as its term map, read
+back as a `Polynomial`.  Matrix products and Bareiss elimination work on
+the stored columns: `mat_mul` groups each column's scalars by monomial,
+and Bareiss uses `add_product`, `reduce_terms` and `exact_quotient`.
+Ranks at a given point are exact; over the rationals a term whose size
+estimate exceeds `MAX_VALUE_BITS` bits is refused just before it would be
+computed.  Generic ranks (`mat_generic_rank`) are Monte Carlo lower
+bounds; over the rationals each random specialization is evaluated modulo
+a random prime in [2^30, 2^31) and ranked there, since the rank mod a
+prime is at most the rank over QQ.
 No floating point is used anywhere.
 
     >>> R = PolyRing(RATIONALS, ("x", "y"))
@@ -207,8 +208,8 @@ class Polynomial:
     """Immutable sparse polynomial; term map never stores a zero scalar.
 
     No code mutates `.terms` in place after construction: every operation
-    builds a new term map.  `PolyMatrix.from_strings` relies on this when it
-    shares one Polynomial among all entries with the same text.
+    builds a new term map.  `PolyMatrix` stores the term maps of its entries
+    and `from_strings` shares one among all entries with the same text.
     """
 
     __slots__ = ("ring", "terms")
@@ -254,6 +255,8 @@ class Polynomial:
     __rmul__ = __mul__
 
     def __pow__(self, k):
+        if type(k) is not int:  # not float, not bool
+            raise ValueError("power must be an integer, got %r" % (k,))
         if k < 0:
             raise ValueError("negative power")
         result, square = self.ring.one(), self
@@ -281,13 +284,13 @@ class Polynomial:
         just before it is computed.
         """
         point = _coerce_point(self.ring, point)
-        return _values_at([{0: self}], point, self.ring.field)[0][0]
+        return _values_at([{0: self.terms}], point, self.ring.field)[0][0]
 
     def __str__(self):
-        return format_polynomial(self)
+        return format_polynomial(self.ring, self.terms)
 
     def __repr__(self):
-        return "Polynomial(%s)" % format_polynomial(self)
+        return "Polynomial(%s)" % self
 
 
 def add_product(acc, s, t):
@@ -337,7 +340,7 @@ def exact_quotient(field, num, den):
 
 
 def _values_at(columns, point, field):
-    """The values of columns {row: Polynomial} at a point of field scalars.
+    """The values of columns {row: term map} at a point of field scalars.
 
     field is the ring's field or, over QQ, a GF(q) that each coefficient is
     taken into first.  Over QQ a term whose value may exceed MAX_VALUE_BITS
@@ -352,9 +355,9 @@ def _values_at(columns, point, field):
     out = []
     for col in columns:
         values = {}
-        for i, f in col.items():
+        for i, terms in col.items():
             total = 0
-            for exps, c in f.terms.items():
+            for exps, c in terms.items():
                 if p is not None:
                     c = field.coerce(c)
                 elif sum(map(mul, exps, sizes)) > MAX_VALUE_BITS:
@@ -433,14 +436,14 @@ def _format_monomial(ring, exps):
     return "*".join(factors)
 
 
-def format_polynomial(p):
-    """Canonical text form: terms in descending lex order of exponents."""
-    if not p.terms:
+def format_polynomial(ring, terms):
+    """Canonical text of a term map: terms in descending lex order of exponents."""
+    if not terms:
         return "0"
     pieces = []
-    for exps in sorted(p.terms, reverse=True):
-        c = p.terms[exps]
-        mono = _format_monomial(p.ring, exps)
+    for exps in sorted(terms, reverse=True):
+        c = terms[exps]
+        mono = _format_monomial(ring, exps)
         neg = c < 0  # never over GF(p), whose scalars lie in [0, p)
         mag = -c if neg else c
         body = "%s*%s" % (mag, mono) if mono and mag != 1 else (mono or str(mag))
@@ -470,9 +473,10 @@ def _shape(rows, shape):
 class PolyMatrix:
     """Sparse matrix of polynomials from one ring.
 
-    Column j is stored as a dict {row: nonzero Polynomial}; zero entries are
-    not stored.  Code that assembles a matrix may fill the columns of
-    `PolyMatrix.zero` directly, as long as it stores no zero polynomial.
+    Column j is a dict {row: term map} of the nonzero entries; reading an
+    entry wraps its term map in a `Polynomial`.  Assembling code may fill
+    the columns of `PolyMatrix.zero` with reduced, nonempty term maps; a
+    stored term map may be shared, so it is never mutated.
     """
 
     __slots__ = ("ring", "rows", "cols", "columns")
@@ -487,7 +491,7 @@ class PolyMatrix:
                 if not isinstance(p, Polynomial) or p.ring != ring:
                     raise ValueError("entry from wrong ring")
                 if p.terms:
-                    col[i] = p
+                    col[i] = p.terms
 
     @classmethod
     def zero(cls, ring, rows, cols):
@@ -500,14 +504,14 @@ class PolyMatrix:
     def identity(cls, ring, n):
         m = cls.zero(ring, n, n)
         for i, col in enumerate(m.columns):
-            col[i] = ring.one()
+            col[i] = {(0,) * ring.nvars: 1}
         return m
 
     @classmethod
     def from_strings(cls, ring, rows, shape=None):
         """Parse rows of polynomial text, storing only the nonzero entries.
 
-        Each distinct str is parsed once and its entries share the result;
+        Each distinct str is parsed once and its entries share its term map;
         any other entry goes to `parse_polynomial` as it is, and fails there.
         """
         rows = list(rows)
@@ -515,37 +519,31 @@ class PolyMatrix:
         parsed = {}
         for i, row in enumerate(rows):
             for col, text in zip(m.columns, row):
-                if isinstance(text, str):
-                    p = parsed.get(text)
-                    if p is None:
-                        p = parsed[text] = parse_polynomial(ring, text)
-                else:
-                    p = parse_polynomial(ring, text)
-                if p.terms:
-                    col[i] = p
+                terms = parsed.get(text) if isinstance(text, str) else None
+                if terms is None:
+                    terms = parsed[text] = parse_polynomial(ring, text).terms
+                if terms:
+                    col[i] = terms
         return m
 
     def _dense(self, zero, value):
-        """Dense rows holding value(p) at each stored entry p, zero elsewhere."""
+        """Dense rows: value(ring, t) at each stored term map t, 0 elsewhere."""
         out = [[zero] * self.cols for _ in range(self.rows)]
         for j, col in enumerate(self.columns):
-            for i, p in col.items():
-                out[i][j] = value(p)
+            for i, terms in col.items():
+                out[i][j] = value(self.ring, terms)
         return out
 
     @property
     def entries(self):
         """Dense rows of polynomials, built on each read: a copy, not a view."""
-        return self._dense(self.ring.zero(), lambda p: p)
+        return self._dense(self.ring.zero(), Polynomial)
 
     def __getitem__(self, ij):
         i, j = ij
-        p = self.columns[j].get(i)
-        if p is None:
-            if not 0 <= i < self.rows:
-                raise IndexError("row %d out of range" % i)
-            return self.ring.zero()
-        return p
+        if not (0 <= i < self.rows and 0 <= j < self.cols):
+            raise IndexError("entry (%d, %d) out of range" % (i, j))
+        return Polynomial(self.ring, self.columns[j].get(i, {}))
 
     def __eq__(self, other):
         return (isinstance(other, PolyMatrix) and self.ring == other.ring
@@ -562,8 +560,8 @@ class PolyMatrix:
     def transpose(self):
         out = PolyMatrix.zero(self.ring, self.cols, self.rows)
         for j, col in enumerate(self.columns):
-            for i, p in col.items():
-                out.columns[i][j] = p
+            for i, terms in col.items():
+                out.columns[i][j] = terms
         return out
 
     def evaluate(self, point):
@@ -602,8 +600,8 @@ def mat_mul(a, b):
     if a.cols != b.rows:
         raise ValueError("shape mismatch: %dx%d times %dx%d"
                          % (a.rows, a.cols, b.rows, b.cols))
-    ring, p = a.ring, a.ring.field.p
-    out = PolyMatrix.zero(ring, a.rows, b.cols)
+    p = a.ring.field.p
+    out = PolyMatrix.zero(a.ring, a.rows, b.cols)
     split = [None] * a.cols
     monomials = {}  # (e1, e2) -> e1 + e2
     for bcol, ocol in zip(b.columns, out.columns):
@@ -613,10 +611,10 @@ def mat_mul(a, b):
             if pieces is None:
                 by_exp = {}
                 for i, f in a.columns[k].items():
-                    for e, c in f.terms.items():
+                    for e, c in f.items():
                         by_exp.setdefault(e, {})[i] = c
                 pieces = split[k] = tuple(by_exp.items())
-            for e2, c2 in q.terms.items():
+            for e2, c2 in q.items():
                 for e1, rows in pieces:
                     e = monomials.get((e1, e2))
                     if e is None:
@@ -631,8 +629,7 @@ def mat_mul(a, b):
                     c %= p
                 if c:
                     terms.setdefault(i, {})[e] = c
-        for i, t in terms.items():
-            ocol[i] = Polynomial(ring, t)
+        ocol.update(terms)
     return out
 
 
@@ -792,7 +789,7 @@ def mat_rank_exact(a):
     if max(a.rows, a.cols) > MAX_BAREISS_DIM:
         raise ValueError("matrix exceeds Bareiss size guard (%d)" % MAX_BAREISS_DIM)
     field = a.ring.field
-    cols = [{i: p.terms for i, p in col.items()} for col in a.columns if col]
+    cols = [dict(col) for col in a.columns if col]
     prev = {(0,) * a.ring.nvars: 1}
     rank = 0
     while cols:

@@ -11,7 +11,7 @@ and straightens the result.
 """
 
 from .complexes import FreeComplex
-from .ring import PolyMatrix, Polynomial, add_scaled, reduce_terms
+from .ring import PolyMatrix, add_scaled, reduce_terms
 from .tableaux import (Partition, column_product, enumerate_standard,
                        _straighten_columns)
 
@@ -61,7 +61,7 @@ class SchurBasis:
 def _entry_differential_table(f, basis):
     """For every entry label, the terms of d on its basis vector.
 
-    Returns {label: [(term map of the polynomial, target label), ...]};
+    Returns {label: [(stored term map of the entry, target label), ...]};
     empty at the bottom degree.  Targets always sit one homological degree
     lower, so they flip parity.
     """
@@ -70,7 +70,7 @@ def _entry_differential_table(f, basis):
     for label, (deg, idx) in basis.position.items():
         d = f.differential_from(deg)
         table[label] = [] if d is None else [
-            (p.terms, label_at[deg - 1, row]) for row, p in d.columns[idx].items()]
+            (terms, label_at[deg - 1, row]) for row, terms in d.columns[idx].items()]
     return table
 
 
@@ -133,7 +133,7 @@ def schur_complex(shape, f):
             for std, acc in _differential(t.columns, table).items():
                 terms = reduce_terms(ring.field, acc)
                 if terms:
-                    col[row_of[std]] = Polynomial(ring, terms)
+                    col[row_of[std]] = terms
         diffs.append(mat)
     return FreeComplex(ring, basis.min_degree, ranks, diffs)
 

@@ -1,5 +1,6 @@
-"""The `schurcx` namespace exports exactly what the README documents, and
-no core module imports the test oracles."""
+"""The `schurcx` namespace exports exactly what the README documents, no
+core module imports the test oracles, and only `ring` builds polynomials
+out of stored matrix entries."""
 
 import ast
 import re
@@ -46,3 +47,11 @@ def test_no_core_module_imports_the_oracles():
     for path in modules:
         names = list(_imported_modules(ast.parse(path.read_text())))
         assert not [n for n in names if "oracles" in n.split(".")], path.name
+
+
+def test_only_ring_wraps_matrix_entries_as_polynomials():
+    # a stored matrix entry is a term map; the modules that assemble or read
+    # matrices work on term maps and leave Polynomial to `ring`
+    for name in ("schur.py", "tableaux.py", "complexes.py", "cli.py"):
+        names = list(_imported_modules(ast.parse((PACKAGE / name).read_text())))
+        assert not [n for n in names if n.split(".")[-1] == "Polynomial"], name
