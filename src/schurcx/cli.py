@@ -72,7 +72,7 @@ def _emit(data, out):
         raise CliError(PARSE_ERROR, "cannot write %s: %s" % (out, exc))
 
 
-def _parse_point(text, ring):
+def _parse_point(text):
     coords = []
     # empty text is the point with no coordinates, for a ring with no variables
     for piece in text.split(",") if text.strip() else ():
@@ -85,8 +85,6 @@ def _parse_point(text, ring):
                 coords.append(int(piece))
         except (ValueError, ZeroDivisionError):
             raise CliError(PARSE_ERROR, "bad coordinate %r" % piece)
-    if len(coords) != ring.nvars:
-        raise CliError(INVALID_INPUT, "point needs %d coordinates" % ring.nvars)
     return coords
 
 
@@ -165,7 +163,7 @@ def cmd_ranks(args):
 
 def cmd_homology(args):
     f = _load(args.complex, "complex", complex_from_dict)
-    point = _parse_point(args.point, f.ring)
+    point = _parse_point(args.point)
     for k, h in zip(f.degrees(), homology_ranks_at_point(f, point)):
         print("h_%d = %d" % (k, h))
     return OK

@@ -139,7 +139,7 @@ def is_standard(t):
 
     Every column is canonical (weakly increasing, repeating only negative
     entries) and `_first_violation` finds no row violation.  It never calls
-    `_exchange`, the straightener's own scan for violations.
+    `_row_violation`, the core's own row rule, nor `_exchange`.
     """
     cols = t.columns
     return (all(a < b or a == b < 0 for col in cols for a, b in zip(col, col[1:]))

@@ -541,6 +541,8 @@ class PolyMatrix:
 
     def __getitem__(self, ij):
         i, j = ij
+        if type(i) is not int or type(j) is not int:  # not float, not bool
+            raise TypeError("entry index (%r, %r) is not a pair of ints" % (i, j))
         if not (0 <= i < self.rows and 0 <= j < self.cols):
             raise IndexError("entry (%d, %d) out of range" % (i, j))
         return Polynomial(self.ring, self.columns[j].get(i, {}))

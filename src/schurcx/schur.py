@@ -140,13 +140,9 @@ def schur_complex(shape, f):
 
 def exterior_power(r, f):
     """Exterior power as the Schur complex of a single column."""
-    if r < 1:
-        raise ValueError("power must be positive")
-    return schur_complex(Partition([1] * r), f)
+    return schur_complex(Partition((r,)).conjugate(), f)
 
 
 def symmetric_power(r, f):
     """Symmetric power as the Schur complex of a single row."""
-    if r < 1:
-        raise ValueError("power must be positive")
-    return schur_complex(Partition([r]), f)
+    return schur_complex((r,), f)

@@ -14,11 +14,13 @@ stands for a vector in the c_i-th exterior power of the underlying complex
   (A) every column weakly increases top to bottom, repeats only negative, and
   (B) every row weakly increases left to right, repeats only positive.
 
-Non-standard tableaux are rewritten into standard ones by `straighten`,
-which repeatedly rewrites the leftmost pair of adjacent columns that breaks
-the row order, using the quadratic relation between the two columns
-(`theta_image`) at the pair's first violation.  That relation depends on
-the pair alone, so it is built and looked up by the pair (`_exchange`).
+(A) makes each column canonical (`normalize_column`) and (B) bars a
+`_row_violation` between adjacent columns: `enumerate_standard` chains
+canonical columns that keep (B), and `straighten` rewrites a non-standard
+tableau by repeatedly rewriting the leftmost pair of adjacent columns that
+breaks (B), using the quadratic relation between the two columns
+(`theta_image`) at the pair's first violation.  That relation depends on the
+pair alone, so it is built and looked up by the pair (`_exchange`).
 
 Sign conventions: every column sign is the sign of one signed sort
 (`_signed_sort`, behind `normalize_column`), which sorts letters by adjacent
@@ -264,19 +266,27 @@ def theta_image(v1, v2, v3, ca, cb):
     return out
 
 
+def _row_violation(left, right):
+    """First row i breaking (B): left[i] > right[i] or one odd letter; else None."""
+    for i, (x, y) in enumerate(zip(left, right)):
+        if x > y or (x == y and x < 0):
+            return i
+    return None
+
+
 @lru_cache(maxsize=None)
 def _exchange(left, right):
     """The relation that removes the first violation between two columns.
 
     left and right are canonical columns.  Returns None when the pair keeps
-    the row order.  Otherwise let row i hold the pair's first violation
-    (left[i] > right[i], or the two are one odd letter), and let split be
-    the first index past i where right holds an entry above right[i], or
-    len(right).  The relation is `theta_image` of left[:i], the middle block
-    left[i:] + right[:split] sorted, and right[split:]; it contains the pair
-    itself with a coefficient lead of +1 or -1.  Returns ((new left, new
-    right), lead * k) for each of its other terms k: the pair equals minus
-    their sum modulo the relations.  Every new left column sorts before left.
+    the row order.  Otherwise let row i hold the pair's first violation (see
+    `_row_violation`), and let split be the first index past i where right
+    holds an entry above right[i], or len(right).  The relation is
+    `theta_image` of left[:i], the middle block left[i:] + right[:split]
+    sorted, and right[split:]; it contains the pair itself with a
+    coefficient lead of +1 or -1.  Returns ((new left, new right), lead * k)
+    for each of its other terms k: the pair equals minus their sum modulo
+    the relations.  Every new left column sorts before left.
 
     Two invariants make every violation rewritable:
       * i + (len(right) - split) <= len(right) - 1, since split > i, so the
@@ -285,12 +295,10 @@ def _exchange(left, right):
         right[:split], and an entry on both sides equals left[i] == right[i],
         which is then odd, so the middle block never repeats an even letter.
     """
-    for i, (x, y) in enumerate(zip(left, right)):
-        if x > y or (x == y and x < 0):
-            break
-    else:
+    i = _row_violation(left, right)
+    if i is None:
         return None
-    split = next((j for j in range(i + 1, len(right)) if right[j] > y),
+    split = next((j for j in range(i + 1, len(right)) if right[j] > right[i]),
                  len(right))
     middle = tuple(sorted(left[i:] + right[:split]))
     relation = theta_image(left[:i], middle, right[split:], len(left), len(right))
@@ -361,40 +369,35 @@ def straighten(t):
 
 # -- enumeration -------------------------------------------------------------
 
+def _canonical_columns(length, m, n):
+    """Every canonical column of the length over {-m..-1, 1..n}, sorted.
+
+    Each is k odd letters with repeats, then length - k distinct even letters.
+    """
+    return sorted(odd + even
+                  for k in range(max(0, length - n), length + 1)
+                  for odd in itertools.combinations_with_replacement(range(-m, 0), k)
+                  for even in itertools.combinations(range(1, n + 1), length - k))
+
+
 def enumerate_standard(shape, m, n):
     """All standard tableaux of the shape with entries in {-m..-1, 1..n}.
 
-    In column reading word order: the search fills the boxes in that order
-    and tries values in ascending order.  The empty shape raises ValueError.
+    Chains of canonical columns grow one column at a time, each by the
+    sorted columns its last one may precede (no `_row_violation`), so they
+    come out in column reading word order.  The empty shape raises
+    ValueError.
+
+    >>> [t.columns for t in enumerate_standard((2,), 1, 1)]
+    [((-1,), (1,)), ((1,), (1,))]
     """
     lengths = Partition(shape).column_lengths()
     if not lengths:
         raise ValueError("the empty shape () has no boxes to fill")
-    values = list(range(-m, 0)) + list(range(1, n + 1))
-    cols = [[None] * c for c in lengths]
-    boxes = [(ci, ri) for ci, c in enumerate(lengths) for ri in range(c)]
-    found = []
-    # Depth-first over the boxes in column order, without recursion: the
-    # stack holds one iterator over the values left to try per filled box.
-    stack = [iter(values)]
-    while stack:
-        if len(stack) > len(boxes):
-            found.append(Tableau(cols))
-            stack.pop()
-            continue
-        ci, ri = boxes[len(stack) - 1]
-        for v in stack[-1]:
-            if ri > 0:
-                above = cols[ci][ri - 1]
-                if v < above or (v == above and v > 0):
-                    continue
-            if ci > 0 and ri < lengths[ci - 1]:
-                before = cols[ci - 1][ri]
-                if v < before or (v == before and v < 0):
-                    continue
-            cols[ci][ri] = v
-            stack.append(iter(values))
-            break
-        else:
-            stack.pop()
-    return found
+    chains = [(col,) for col in _canonical_columns(lengths[0], m, n)]
+    for length in lengths[1:]:
+        columns = _canonical_columns(length, m, n)
+        follow = {left: [col for col in columns if _row_violation(left, col) is None]
+                  for left in {t[-1] for t in chains}}
+        chains = [t + (col,) for t in chains for col in follow[t[-1]]]
+    return [Tableau(t) for t in chains]

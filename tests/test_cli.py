@@ -645,7 +645,7 @@ def test_empty_point_for_ring_without_variables(tmp_path, capsys, koszul_file):
     assert main(["homology", "--complex", str(path), "--point", ""]) == 0
     assert capsys.readouterr().out.splitlines() == ["h_0 = 0", "h_1 = 0"]
     assert main(["homology", "--complex", koszul_file, "--point", ""]) == 3
-    assert "point needs 2 coordinates" in capsys.readouterr().err
+    assert "point has 0 coordinates, ring has 2 variables" in capsys.readouterr().err
 
 
 def test_bad_coordinate_is_parse_error(capsys, koszul_file):

@@ -693,6 +693,15 @@ def test_entry_index_out_of_range_raises(qq_xy):
             a[ij]
 
 
+def test_entry_index_must_be_an_int(qq_xy):
+    # the package's integer rule: not float, not bool
+    x, y = qq_xy.gens()
+    a = PolyMatrix(qq_xy, [[x, y]])
+    for ij in ((0.5, 0), (True, 1), (0, True), (0, 0.9)):
+        with pytest.raises(TypeError):
+            a[ij]
+
+
 @pytest.mark.parametrize("field", [RATIONALS, GF(7)])
 def test_shared_entries_are_never_mutated(field):
     ring = PolyRing(field, ("x", "y"))

@@ -270,8 +270,9 @@ def test_enumerate_classical_dimensions():
 
 
 def test_enumerate_shapes_of_1100_boxes():
-    # one box per step of the search, with no Python frame per box: a row
-    # holds at most one -1, a column at most one 1
+    # a loop step per column and one itertools call per column length, with
+    # no Python frame per box: a row holds at most one -1, a column at most
+    # one 1
     for shape in ((1100,), (1,) * 1100):
         out = enumerate_standard(shape, 1, 1)
         assert len(out) == 2
