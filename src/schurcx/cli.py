@@ -7,7 +7,9 @@ consistency failure (output differentials that do not square to zero).
 
 import argparse
 import json
+import os
 import sys
+import tempfile
 from fractions import Fraction
 
 from .complexes import (_array, complex_from_dict, complex_to_dict,
@@ -15,7 +17,7 @@ from .complexes import (_array, complex_from_dict, complex_to_dict,
                         validate_complex)
 from .ring import mat_generic_rank
 from .schur import SchurBasis, schur_complex
-from .tableaux import Partition, Tableau, straighten
+from .tableaux import Partition, Tableau, straighten, to_entries
 
 OK, VERIFY_FAILED, PARSE_ERROR, INVALID_INPUT, INTERNAL_ERROR = 0, 1, 2, 3, 4
 
@@ -63,13 +65,37 @@ def _write_json(data, fh):
 
 
 def _emit(data, out):
+    """Write the JSON to stdout, or to out; a failed write leaves out as it was.
+
+    A regular or new file is replaced by a complete temporary file written
+    beside it, with the mode `open(out, "w")` would give, through a symlink;
+    a device, a pipe or a directory is written directly.
+    """
     if not out:
         return _write_json(data, sys.stdout)
     try:
-        with open(out, "w") as fh:
-            _write_json(data, fh)
-    except OSError as exc:
-        raise CliError(PARSE_ERROR, "cannot write %s: %s" % (out, exc))
+        target = os.path.realpath(out)
+        if not os.path.exists(target):
+            os.umask(umask := os.umask(0))  # reads the umask, leaves it set
+            mode = 0o666 & ~umask
+        elif os.path.isfile(target):
+            open(target, "a").close()  # refused where open(out, "w") would be
+            mode = os.stat(target).st_mode & 0o7777
+        else:
+            with open(out, "w") as fh:
+                return _write_json(data, fh)
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), suffix=".tmp",
+                                   prefix="." + os.path.basename(target) + ".")
+        try:
+            with os.fdopen(fd, "w") as fh:
+                os.fchmod(fd, mode)
+                _write_json(data, fh)
+            os.replace(tmp, target)
+        except BaseException:
+            os.unlink(tmp)
+            raise
+    except OSError as exc:  # str(exc) may name the temporary file
+        raise CliError(PARSE_ERROR, "cannot write %s: %s" % (out, exc.strerror))
 
 
 def _parse_point(text):
@@ -90,7 +116,7 @@ def _parse_point(text):
 
 def cmd_straighten(args):
     result = straighten(_load(args.tableau, "tableau", _tableau_from_dict))
-    payload = [{"coefficient": c, "tableau": t.to_entries()}
+    payload = [{"coefficient": c, "tableau": to_entries(t)}
                for t, c in result.items()]
     _emit(payload, args.out)
     return OK
@@ -129,7 +155,7 @@ def cmd_schur(args):
     payload = complex_to_dict(s)
     payload["shape"] = list(shape)
     payload["basis"] = [
-        {"degree": k, "tableaux": [t.to_entries() for t in basis.at(k)]}
+        {"degree": k, "tableaux": [to_entries(t) for t in basis.at(k)]}
         for k in basis.degrees()
     ]
     _emit(payload, args.out)

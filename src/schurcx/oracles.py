@@ -45,23 +45,12 @@ def _pair_sign(x, y):
 
 
 def tensor_embed(x):
-    """Expand a canonical column or tableau in tensor coordinates.
+    """Expand a canonical column in tensor coordinates.
 
-    Returns {tuple of entry labels: integer coefficient}.  A column becomes
-    the sum over interleavings of its divided word with each signed
-    permutation of its exterior word; a tableau is the product of its
-    columns, concatenating words.
+    Returns {tuple of entry labels: integer coefficient}: the sum over
+    interleavings of its divided word with each signed permutation of its
+    exterior word.
     """
-    if isinstance(x, Tableau):
-        total = {(): 1}
-        for col in x.columns:
-            piece = tensor_embed(col)
-            nxt = {}
-            for w1, c1 in total.items():
-                for w2, c2 in piece.items():
-                    nxt[w1 + w2] = nxt.get(w1 + w2, 0) + c1 * c2
-            total = nxt
-        return total
     col = tuple(x)
     negs = [v for v in col if v < 0]
     poss = [v for v in col if v > 0]
@@ -135,15 +124,14 @@ def _first_violation(columns):
 
 
 def is_standard(t):
-    """Whether a Tableau is standard, decided from the definition.
+    """Whether a tableau, given by its columns, is standard, from the definition.
 
     Every column is canonical (weakly increasing, repeating only negative
     entries) and `_first_violation` finds no row violation.  It never calls
     `_row_violation`, the core's own row rule, nor `_exchange`.
     """
-    cols = t.columns
-    return (all(a < b or a == b < 0 for col in cols for a, b in zip(col, col[1:]))
-            and _first_violation(cols) is None)
+    return (all(a < b or a == b < 0 for col in t for a, b in zip(col, col[1:]))
+            and _first_violation(t) is None)
 
 
 def straighten_whole_tableau(columns):
@@ -260,7 +248,7 @@ class RelationSpan:
         return self.dimension - self.rank
 
     def vector_of(self, combination):
-        """Coordinates of {Tableau: coefficient} over the spanning fillings.
+        """Coordinates of {tableau: coefficient} over the spanning fillings.
 
         Columns are normalized first; coefficients become Fractions.
         """
@@ -268,7 +256,7 @@ class RelationSpan:
         for t, coeff in combination.items():
             sign = 1
             cols = []
-            for col in t.columns:
+            for col in t:
                 norm = normalize_column(col)
                 if norm is None:
                     break
@@ -292,13 +280,13 @@ def relation_membership(combination, m=None, n=None):
     """
     if not combination:
         return True
-    shapes = {t.shape for t in combination}
+    shapes = {Tableau(t).shape for t in combination}
     if len(shapes) > 1:
         raise ValueError("mixed shapes in combination")
     shape = shapes.pop()
     if shape.size > 8:
         raise ValueError("size guard: shapes above 8 boxes are not supported")
-    entries = [v for t in combination for v in t.reading_word()]
+    entries = [v for t in combination for col in t for v in col]
     if m is None:
         m = max((-v for v in entries if v < 0), default=0)
     if n is None:

@@ -24,8 +24,8 @@ class SchurBasis:
     name the m basis vectors of odd degree and 1..n the n of even degree,
     ascending labels following ascending (degree, index), so single-box
     tableaux in canonical order list the basis of F in its own order.
-    `at(k)` lists the standard tableaux of total degree k in the order of
-    their column reading words.
+    `at(k)` lists the standard tableaux of total degree k, as tuples of
+    column tuples, in the order of their column reading words.
     """
 
     def __init__(self, shape, f):
@@ -38,7 +38,7 @@ class SchurBasis:
         self.degree = {v: k for v, (k, _) in self.position.items()}
         by_degree = {}
         for t in enumerate_standard(shape, len(odd), len(even)):
-            k = sum(self.degree[v] for col in t.columns for v in col)
+            k = sum(self.degree[v] for col in t for v in col)
             by_degree.setdefault(k, []).append(t)
         self.by_degree = by_degree
         self.min_degree = min(by_degree, default=0)
@@ -49,9 +49,6 @@ class SchurBasis:
 
     def degrees(self):
         return range(self.min_degree, self.max_degree + 1)
-
-    def is_empty(self):
-        return not self.by_degree
 
     def __repr__(self):
         return "SchurBasis(%r, degrees %d..%d)" % (
@@ -127,10 +124,10 @@ def schur_complex(shape, f):
     for k in degrees[1:]:
         sources = basis.at(k)
         targets = basis.at(k - 1)
-        row_of = {t.columns: i for i, t in enumerate(targets)}
+        row_of = {t: i for i, t in enumerate(targets)}
         mat = PolyMatrix.zero(ring, len(targets), len(sources))
         for t, col in zip(sources, mat.columns):
-            for std, acc in _differential(t.columns, table).items():
+            for std, acc in _differential(t, table).items():
                 terms = reduce_terms(ring.field, acc)
                 if terms:
                     col[row_of[std]] = terms

@@ -39,8 +39,9 @@ complement, signed by sorting the two back into the column.
     >>> normalize_column([1, 1]) is None
     True
 
-Inside this module a tableau is its tuple of column tuples; `Tableau`
-objects are built only where tableaux enter or leave it.
+Across the package a tableau is its tuple of column tuples.  `Tableau`,
+that tuple validated and equal to it, is built only where a tableau comes in
+from outside and for the keys that `straighten` returns.
 
 Caches: three, process-wide.  `_straighten_columns` holds whole tableaux,
 keyed by their canonical columns (`straighten` normalizes its input once,
@@ -75,10 +76,6 @@ class Partition(tuple):
         return self
 
     @property
-    def parts(self):
-        return tuple(self)
-
-    @property
     def size(self):
         return sum(self)
 
@@ -96,23 +93,22 @@ class Partition(tuple):
         return "Partition(%s)" % (list(self),)
 
 
-class Tableau:
-    """A filling of a Young diagram, stored column by column."""
+class Tableau(tuple):
+    """A filling of a Young diagram: its tuple of column tuples, validated."""
 
-    __slots__ = ("columns",)
+    __slots__ = ()
 
-    def __init__(self, columns):
-        columns = tuple(tuple(col) for col in columns)
-        if not columns or any(not col for col in columns):
+    def __new__(cls, columns):
+        self = super().__new__(cls, (tuple(col) for col in columns))
+        if not self or any(not col for col in self):
             raise ValueError("empty column")
-        lengths = [len(c) for c in columns]
-        if any(a > b for a, b in zip(lengths[1:], lengths[:-1])):
+        if any(len(a) < len(b) for a, b in zip(self, self[1:])):
             raise ValueError("column lengths must weakly decrease")
-        if not all(type(v) is int for col in columns for v in col):
+        if not all(type(v) is int for col in self for v in col):
             raise ValueError("entries must be integers")
-        if any(v == 0 for col in columns for v in col):
+        if any(v == 0 for col in self for v in col):
             raise ValueError("zero is not a valid entry")
-        self.columns = columns
+        return self
 
     @classmethod
     def from_entries(cls, shape, entries):
@@ -142,26 +138,16 @@ class Tableau:
     @property
     def shape(self):
         """Row lengths, as a Partition."""
-        return Partition([len(c) for c in self.columns]).conjugate()
-
-    def to_entries(self):
-        out = []
-        for i, col in enumerate(self.columns, start=1):
-            for j, v in enumerate(col, start=1):
-                out.append([i, j, v])
-        return out
-
-    def reading_word(self):
-        return tuple(v for col in self.columns for v in col)
-
-    def __eq__(self, other):
-        return isinstance(other, Tableau) and self.columns == other.columns
-
-    def __hash__(self):
-        return hash(self.columns)
+        return Partition([len(c) for c in self]).conjugate()
 
     def __repr__(self):
-        return "Tableau(%s)" % (list(list(c) for c in self.columns),)
+        return "Tableau(%s)" % (list(list(c) for c in self),)
+
+
+def to_entries(columns):
+    """The [column, row, value] records of a tableau given by its columns."""
+    return [[i, j, v] for i, col in enumerate(columns, start=1)
+            for j, v in enumerate(col, start=1)]
 
 
 def _signed_sort(letters):
@@ -351,15 +337,16 @@ def straighten(t):
 
     Returns {standard Tableau: integer coefficient} in the order of the
     column reading word; the empty map when the tableau is zero (some column
-    repeats a positive entry).  Columns are normalized once, here, and the
-    product of their signs multiplies the result.
+    repeats a positive entry).  t, any tuple of columns, gets the checks of
+    `Tableau`; its columns are normalized once, here, and the product of
+    their signs multiplies the result.
 
     >>> straighten(Tableau(((2, 1), (3,))))
     {Tableau([[1, 2], [3]]): -1}
     >>> straighten(Tableau(((-1, -2), (-1,))))
     {Tableau([[-2, -1], [-1]]): 1}
     """
-    norms = [normalize_column(col) for col in t.columns]
+    norms = [normalize_column(col) for col in Tableau(t)]
     if None in norms:
         return {}
     sign = prod(s for _, s in norms)
@@ -385,10 +372,10 @@ def enumerate_standard(shape, m, n):
 
     Chains of canonical columns grow one column at a time, each by the
     sorted columns its last one may precede (no `_row_violation`), so they
-    come out in column reading word order.  The empty shape raises
-    ValueError.
+    come out in column reading word order, each a plain tuple of column
+    tuples.  The empty shape raises ValueError.
 
-    >>> [t.columns for t in enumerate_standard((2,), 1, 1)]
+    >>> enumerate_standard((2,), 1, 1)
     [((-1,), (1,)), ((1,), (1,))]
     """
     lengths = Partition(shape).column_lengths()
@@ -400,4 +387,4 @@ def enumerate_standard(shape, m, n):
         follow = {left: [col for col in columns if _row_violation(left, col) is None]
                   for left in {t[-1] for t in chains}}
         chains = [t + (col,) for t in chains for col in follow[t[-1]]]
-    return [Tableau(t) for t in chains]
+    return chains

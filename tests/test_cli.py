@@ -2,6 +2,7 @@
 
 import json
 import os
+import stat
 import subprocess
 import sys
 import time
@@ -10,11 +11,12 @@ from pathlib import Path
 import pytest
 
 from conftest import generic_matrix_complex
-from schurcx import (RATIONALS, GF, PolyRing, Tableau, koszul_complex,
-                     save_complex, schur_complex)
+from schurcx import (RATIONALS, GF, PolyRing, koszul_complex, save_complex,
+                     schur_complex)
 from schurcx.complexes import complex_from_dict, load_complex
 from schurcx.cli import main
 from schurcx.ring import MAX_TRIALS
+from schurcx.tableaux import to_entries
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -36,10 +38,9 @@ def _src_env():
 
 
 def _write_tableau(tmp_path, shape, columns, name="t.json"):
-    t = Tableau(columns)
     path = tmp_path / name
     path.write_text(json.dumps({"shape": list(shape),
-                                "entries": t.to_entries()}))
+                                "entries": to_entries(columns)}))
     return str(path)
 
 
@@ -50,9 +51,9 @@ def test_straighten_worked_example(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload == [
         {"coefficient": 1,
-         "tableau": Tableau(((-3, -2, -2), (-1, 1, 3), (2, 3))).to_entries()},
+         "tableau": to_entries(((-3, -2, -2), (-1, 1, 3), (2, 3)))},
         {"coefficient": -1,
-         "tableau": Tableau(((-3, -2, -2), (-1, 2, 3), (1, 3))).to_entries()},
+         "tableau": to_entries(((-3, -2, -2), (-1, 2, 3), (1, 3)))},
     ]
 
 
@@ -61,7 +62,7 @@ def test_straighten_standard_is_fixed(tmp_path, capsys):
     assert main(["straighten", "--tableau", path]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload == [{"coefficient": 1,
-                        "tableau": Tableau(((-1, 1), (2,))).to_entries()}]
+                        "tableau": to_entries(((-1, 1), (2,)))}]
 
 
 def test_straighten_vanishing_tableau(tmp_path, capsys):
@@ -79,7 +80,7 @@ def test_straighten_out_file(tmp_path, capsys):
     assert capsys.readouterr().out == ""
     payload = json.loads(out.read_text())
     assert payload == [{"coefficient": 1,
-                        "tableau": Tableau(((1,), (2,))).to_entries()}]
+                        "tableau": to_entries(((1,), (2,)))}]
 
 
 def test_straighten_odd_row_pair_anticommutes(tmp_path, capsys):
@@ -87,7 +88,7 @@ def test_straighten_odd_row_pair_anticommutes(tmp_path, capsys):
     assert main(["straighten", "--tableau", path]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload == [{"coefficient": -1,
-                        "tableau": Tableau(((-2,), (-1,))).to_entries()}]
+                        "tableau": to_entries(((-2,), (-1,)))}]
 
 
 def test_schur_banner_and_payload(tmp_path, capsys, koszul_file):
@@ -388,6 +389,56 @@ def test_unwritable_out_is_parse_error(tmp_path, koszul_file, command, target):
     assert "cannot write %s" % target in proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stdout == ""
+
+
+def _lower_file_size_limit():
+    import resource
+    resource.setrlimit(resource.RLIMIT_FSIZE, (8192, 8192))
+
+
+def test_failed_out_write_keeps_the_old_file(tmp_path):
+    # the child may write 8,192 bytes to a file and the JSON is longer: the
+    # write fails part-way, and the old file must survive whole
+    pytest.importorskip("resource")
+    ring = PolyRing(GF(32003), ("x", "y", "z"))
+    save_complex(koszul_complex(ring.gens()), str(tmp_path / "koszul.json"))
+    out = tmp_path / "keep.json"
+    out.write_text('{"old": true}\n')
+    files = sorted(os.listdir(tmp_path))
+    env = _src_env()
+    env["PYTHONDONTWRITEBYTECODE"] = "1"  # no bytecode cut short by the limit
+    proc = subprocess.run(
+        [sys.executable, "-m", "schurcx.cli", "schur", "--complex",
+         "koszul.json", "--shape", "3,2", "--out", "keep.json"],
+        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=60.0,
+        preexec_fn=_lower_file_size_limit)
+    assert proc.returncode == 2, proc.stderr
+    assert "cannot write keep.json" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+    assert out.read_text() == '{"old": true}\n'
+    assert sorted(os.listdir(tmp_path)) == files  # no temporary file left
+
+
+def test_out_keeps_the_mode_and_writes_through_a_symlink(tmp_path, koszul_file,
+                                                         capsys):
+    old = tmp_path / "old.json"
+    old.write_text("old\n")
+    old.chmod(0o640)
+    link = tmp_path / "link.json"
+    link.symlink_to(old)
+    new = tmp_path / "new.json"
+    argv = ["schur", "--complex", koszul_file, "--shape", "2,1", "--out"]
+    assert main(argv + [str(link)]) == 0
+    assert main(argv + [str(new)]) == 0
+    assert link.is_symlink()
+    assert old.read_text() == new.read_text() != "old\n"
+    umask = os.umask(0)
+    os.umask(umask)
+    assert stat.S_IMODE(old.stat().st_mode) == 0o640
+    assert stat.S_IMODE(new.stat().st_mode) == 0o666 & ~umask
+    assert sorted(os.listdir(tmp_path)) == [
+        "koszul.json", "link.json", "new.json", "old.json"]
 
 
 def test_bad_shape_is_parse_error(capsys, koszul_file):

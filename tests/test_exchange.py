@@ -174,6 +174,6 @@ def test_cached_results_are_safe_to_mutate():
     assert column_product((2,), (1,)) == ((1, 2), -1)
     assert _frozen(column_product((2,), (1,)))
     assert _frozen(tableaux._straighten_columns(
-        tuple(normalize_column(col)[0] for col in t.columns)))
+        tuple(normalize_column(col)[0] for col in t)))
     assert all(_frozen(_exchange(left, right))
                for left, right in [((-2, 2), (-2,)), ((1, 2, 3), (-1, 3))])

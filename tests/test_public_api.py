@@ -1,6 +1,6 @@
 """The `schurcx` namespace exports exactly what the README documents, no
-core module imports the test oracles, and only `ring` builds polynomials
-out of stored matrix entries."""
+core module imports the test oracles, only `ring` builds polynomials out of
+stored matrix entries, and assembly works on plain column tuples."""
 
 import ast
 import re
@@ -55,3 +55,11 @@ def test_only_ring_wraps_matrix_entries_as_polynomials():
     for name in ("schur.py", "tableaux.py", "complexes.py", "cli.py"):
         names = list(_imported_modules(ast.parse((PACKAGE / name).read_text())))
         assert not [n for n in names if n.split(".")[-1] == "Polynomial"], name
+
+
+def test_assembly_keeps_tableaux_as_plain_column_tuples():
+    # a standard tableau stays the tuple of column tuples that
+    # `enumerate_standard` built, from grading to the differential
+    for name in ("schur.py", "complexes.py"):
+        names = list(_imported_modules(ast.parse((PACKAGE / name).read_text())))
+        assert not [n for n in names if n.split(".")[-1] == "Tableau"], name

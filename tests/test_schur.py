@@ -16,7 +16,7 @@ from schurcx.tableaux import Partition, column_product
 
 def total_degree(basis, t):
     """Sum of the degrees of a tableau's entries under the basis labeling."""
-    return sum(basis.degree[v] for v in t.reading_word())
+    return sum(basis.degree[v] for col in t for v in col)
 
 
 def test_tableau_degree_koszul(koszul_xy):
@@ -106,10 +106,10 @@ def test_single_column_differential_is_matrix_column(koszul_xy):
         d = koszul_xy.differential_from(k)
         image = s.differential_from(k)
         for j, t in enumerate(basis.at(k)):
-            _, src = basis.position[t.columns[0][0]]
+            _, src = basis.position[t[0][0]]
             expect = {}
             for row, target in enumerate(basis.at(k - 1)):
-                _, dst = basis.position[target.columns[0][0]]
+                _, dst = basis.position[target[0][0]]
                 p = d[dst, src]
                 if not p.is_zero():
                     expect[row] = p.terms

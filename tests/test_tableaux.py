@@ -8,17 +8,18 @@ from math import comb, prod
 import pytest
 
 from conftest import count_semistandard, partitions, random_canonical_column
-from schurcx import Tableau, enumerate_standard, straighten
+from schurcx import SchurBasis, Tableau, enumerate_standard, straighten
 from schurcx.oracles import (RelationSpan, column_basis, is_standard,
                              relation_membership, shuffle_mul, tensor_embed)
 from schurcx.tableaux import (Partition, _exchange, column_product,
-                              normalize_column, theta_image, wedge_coproduct)
+                              normalize_column, theta_image, to_entries,
+                              wedge_coproduct)
 
 
 def test_conjugate_examples():
-    assert Partition((3, 2, 2)).conjugate().parts == (3, 3, 1)
-    assert Partition((3, 3, 2)).conjugate().parts == (3, 3, 2)
-    assert Partition((1,)).conjugate().parts == (1,)
+    assert Partition((3, 2, 2)).conjugate() == (3, 3, 1)
+    assert Partition((3, 3, 2)).conjugate() == (3, 3, 2)
+    assert Partition((1,)).conjugate() == (1,)
 
 
 def test_conjugate_involution():
@@ -43,7 +44,7 @@ def test_partition_is_its_tuple():
     assert isinstance(p, tuple)
     assert p == (2, 1) and hash(p) == hash((2, 1))
     assert Partition(p) == p and type(Partition(p)) is Partition
-    assert p.parts == (2, 1) and p.size == 3
+    assert p.size == 3
     assert repr(p) == "Partition([2, 1])"
 
 
@@ -54,8 +55,22 @@ def test_column_lengths():
 
 def test_tableau_shape_round_trip():
     t = Tableau(((-2, -2, 1), (-1, 1), (1, 2)))
-    assert t.shape.parts == (3, 3, 1)
-    assert Tableau.from_entries(t.shape, t.to_entries()) == t
+    assert t.shape == (3, 3, 1)
+    assert Tableau.from_entries(t.shape, to_entries(t)) == t
+
+
+def test_a_tableau_is_its_tuple_of_columns(koszul_xy):
+    cols = ((-2, -2, 1), (-1, 1), (1, 2))
+    assert Tableau(cols) == cols and hash(Tableau(cols)) == hash(cols)
+    assert all(type(t) is tuple for t in enumerate_standard((2, 1), 2, 2))
+    assert Tableau(((-1, 2),)) in SchurBasis((1, 1), koszul_xy).at(3)
+    assert straighten(((2, 1), (3,))) == straighten(Tableau(((2, 1), (3,))))
+    # a plain tuple gets the checks of a tableau read from a file
+    for bad, message in [(((1, 0), (2,)), "zero is not a valid entry"),
+                         (((1,), ()), "empty column"),
+                         (((1,), (2, 3)), "column lengths must weakly decrease")]:
+        with pytest.raises(ValueError, match=message):
+            straighten(bad)
 
 
 def test_from_entries_rejects_bad_boxes():
@@ -276,7 +291,7 @@ def test_enumerate_shapes_of_1100_boxes():
     for shape in ((1100,), (1,) * 1100):
         out = enumerate_standard(shape, 1, 1)
         assert len(out) == 2
-        assert all(t.shape == shape for t in out)
+        assert all(Tableau(t).shape == shape for t in out)
 
 
 def test_enumerate_matches_semistandard_brute_force():
@@ -313,7 +328,7 @@ def test_enumerate_order_is_canonical():
         for shape in partitions(size):
             for m in range(4):
                 for n in range(4):
-                    words = [t.reading_word()
+                    words = [sum(t, ())
                              for t in enumerate_standard(shape, m, n)]
                     assert all(a < b for a, b in zip(words, words[1:]))
                     cases += 1
@@ -403,7 +418,7 @@ def test_straighten_soundness_oracle():
     spans = {}
     for _ in range(120):
         t = _random_tableau(rng, 2, 2, max_r=5)
-        shape = tuple(t.shape.parts)
+        shape = t.shape
         if shape not in spans:
             spans[shape] = RelationSpan(shape, 2, 2)
         difference = {t: Fraction(1)}
