@@ -1,20 +1,23 @@
 """Independent oracles that the tests check the tableau core against.
 
-`tensor_embed` realizes the column sign rules inside the tensor algebra, and
-`relation_membership` tests a tableau combination against the span of the
-quadratic exchange relations.  Both are exponential in the number of boxes.
-`is_standard` decides standardness from its definition.
+`tensor_embed` realizes the column sign rules inside the tensor algebra.
+`abw_image` is the map of Akin, Buchsbaum and Weyman from columns to rows,
+whose image is the Schur module and whose kernel is the span of the
+exchange relations: a straightened tableau must have the image of the
+tableau, standard tableaux independent images, and `row_derivation` of an
+image must be the image of d.  It is built from the definition alone, calls
+nothing in `schurcx.tableaux`, and has no size guard; its cost grows with
+the product of the column heights' factorials, not with the number of
+fillings.  `is_standard` decides standardness from its definition.
 `straighten_whole_tableau` is the reference straightener: it rebuilds the
 relation of the whole tableau at each step instead of looking it up by a
 pair of columns.  No core module imports this one.
 """
 
 import itertools
-from fractions import Fraction
-from functools import lru_cache
+from math import prod
 
-from .ring import RATIONALS, SparseEchelon
-from .tableaux import Partition, Tableau, normalize_column, theta_image
+from .tableaux import normalize_column, theta_image
 
 
 def column_basis(length, m, n):
@@ -44,41 +47,25 @@ def _pair_sign(x, y):
     return 1 if (x < 0 and y < 0) else -1
 
 
+def _inversions(seq):
+    """The number of pairs i < j with seq[i] > seq[j]."""
+    return sum(a > b for a, b in itertools.combinations(seq, 2))
+
+
 def tensor_embed(x):
     """Expand a canonical column in tensor coordinates.
 
-    Returns {tuple of entry labels: integer coefficient}: the sum over
-    interleavings of its divided word with each signed permutation of its
-    exterior word.
+    Returns {tuple of entry labels: integer coefficient}: one term per
+    distinct rearrangement of the column, signed -1 per inverted pair that
+    is not two odd letters, since the column is a divided power of its odd
+    letters times an exterior power of its even ones.  A repeated even
+    letter gives the empty map.
     """
-    col = tuple(x)
-    negs = [v for v in col if v < 0]
-    poss = [v for v in col if v > 0]
-    r = len(col)
-    out = {}
-    # divided block: unsigned shuffle of repeated letters, so every distinct
-    # rearrangement of the negative multiset appears once
-    for word_neg in set(itertools.permutations(negs)):
-        for perm in itertools.permutations(range(len(poss))):
-            psign = 1
-            for i in range(len(perm)):
-                for j in range(i + 1, len(perm)):
-                    if perm[i] > perm[j]:
-                        psign = -psign
-            word_pos = [poss[i] for i in perm]
-            for slots in itertools.combinations(range(r), len(negs)):
-                word = [None] * r
-                chosen = set(slots)
-                ni = iter(word_neg)
-                pi = iter(word_pos)
-                for k in range(r):
-                    word[k] = next(ni) if k in chosen else next(pi)
-                crossings = 0
-                for k, s in enumerate(slots):
-                    crossings += sum(1 for t in range(s) if t not in chosen)
-                sign = psign * (-1 if crossings % 2 else 1)
-                _add(out, tuple(word), sign)
-    return out
+    even = [v for v in x if v > 0]
+    if len(set(even)) < len(even):
+        return {}
+    return {w: (-1) ** (_inversions(w) - _inversions([v for v in w if v < 0]))
+            for w in sorted(set(itertools.permutations(x)))}
 
 
 def shuffle_mul(u, v):
@@ -102,6 +89,91 @@ def shuffle_mul(u, v):
                         if t not in chosen:
                             sign *= _pair_sign(w1[a], word[t])
                 _add(out, tuple(word), c1 * c2 * sign)
+    return out
+
+
+# -- the ABW map -------------------------------------------------------------
+
+def _row_sort(row):
+    """Sort a row in the super-symmetric algebra: (sorted tuple, sign) or None.
+
+    Even letters commute and odd letters anticommute, so the sign is -1 per
+    inverted pair of odd letters, and a repeated odd letter makes the row
+    zero (None).
+    """
+    odd = [v for v in row if v < 0]
+    if len(odd) < 2:
+        return tuple(sorted(row)), 1
+    if len(set(odd)) < len(odd):
+        return None
+    return tuple(sorted(row)), (-1) ** _inversions(odd)
+
+
+def abw_image(columns):
+    """Image of a tableau under the map that defines its Schur module.
+
+    Akin, Buchsbaum and Weyman map the tensor of the column spaces to the
+    tensor of the row spaces; the Schur module is the image, and the
+    exchange relations span the kernel.  Each column, a canonical one,
+    expands by `tensor_embed`, the words are concatenated in column order,
+    the letters move into row-reading order with -1 per pair of odd letters
+    that cross, and each row is sorted by `_row_sort`.  Returns {tuple of
+    sorted rows: integer coefficient}.  It calls nothing in
+    `schurcx.tableaux`.
+
+    >>> abw_image(((1,), (2,)))    # even letters commute along a row
+    {((1, 2),): 1}
+    >>> abw_image(((1,), (1,)))    # and may repeat there
+    {((1, 1),): 1}
+    >>> abw_image(((-1,), (-1,)))  # a repeated odd letter gives zero
+    {}
+    >>> abw_image(((1, 2),))       # two even letters anticommute in a column
+    {((1,), (2,)): 1, ((2,), (1,)): -1}
+    """
+    starts = list(itertools.accumulate(map(len, columns), initial=0))
+    # each row as the positions of its boxes in the concatenated word
+    rows = [[start + r for start, col in zip(starts, columns) if r < len(col)]
+            for r in range(max(map(len, columns)))]
+    out = {}
+    for factors in itertools.product(*(tensor_embed(col).items()
+                                       for col in columns)):
+        word = sum((w for w, _ in factors), ())
+        coeff = prod(k for _, k in factors)
+        coeff *= (-1) ** _inversions(
+            [i for row in rows for i in row if word[i] < 0])
+        key = []
+        for row in rows:
+            sorted_row = _row_sort([word[i] for i in row])
+            if sorted_row is None:
+                break
+            key.append(sorted_row[0])
+            coeff *= sorted_row[1]
+        else:
+            _add(out, tuple(key), coeff)
+    return out
+
+
+def row_derivation(image, d):
+    """Apply d, an odd derivation of the row algebra, to {rows: coefficient}.
+
+    The rows are keyed as `abw_image` keys them, and d maps a letter to
+    {letter: coefficient}, the image of its basis vector under d_F.  Every
+    occurrence of a letter is replaced in turn (rows are symmetric, not
+    divided, powers), with the sign (-1)^(odd letters before it in
+    row-reading order), and its row is sorted again by `_row_sort`.
+    """
+    out = {}
+    for rows, c in image.items():
+        odd = 0  # odd letters before this one in row-reading order
+        for r, row in enumerate(rows):
+            for pos, v in enumerate(row):
+                for w, k in d.get(v, {}).items():
+                    sorted_row = _row_sort(row[:pos] + (w,) + row[pos + 1:])
+                    if sorted_row is not None:
+                        new, sign = sorted_row
+                        _add(out, rows[:r] + (new,) + rows[r + 1:],
+                             c * k * sign * (-1) ** odd)
+                odd += v < 0
     return out
 
 
@@ -172,124 +244,3 @@ def straighten_whole_tableau(columns):
         for other, k in relation.items():
             _add(pending, other, -coeff * lead * k)
     return tuple(sorted(result.items()))
-
-
-# -- relation span oracle ----------------------------------------------------
-
-@lru_cache(maxsize=None)
-def _theta_pair_rows(ca, cb, m, n):
-    """Independent relation rows between one adjacent column pair.
-
-    Rows are sparse vectors over pairs (left column, right column), one per
-    relation generator that is independent of the ones before it.
-    """
-    ech = SparseEchelon(RATIONALS)
-    rows = []
-    for u in range(ca + 1):
-        for v in range(cb - u):
-            basis_u = column_basis(u, m, n)
-            basis_mid = column_basis(ca - u + cb - v, m, n)
-            basis_v = column_basis(v, m, n)
-            for v1 in basis_u:
-                for v3 in basis_v:
-                    for v2 in basis_mid:
-                        image = theta_image(v1, v2, v3, ca, cb)
-                        if ech.insert(image):
-                            rows.append(tuple(sorted(image.items())))
-    return tuple(rows)
-
-
-class RelationSpan:
-    """Echelon basis of the quadratic relation span for one shape and range.
-
-    Coordinates run over tuples of canonical columns of the shape's column
-    lengths ('all fillings with sorted columns').  The quotient by this span
-    is the Schur space, whose dimension must match the standard tableau count.
-    """
-
-    def __init__(self, shape, m, n):
-        self.shape = shape = Partition(shape)
-        self.m = m
-        self.n = n
-        lengths = shape.column_lengths()
-        self.lengths = lengths
-        self.bases = [column_basis(c, m, n) for c in lengths]
-        self.index = {}
-        for i, combo in enumerate(itertools.product(*self.bases)):
-            self.index[combo] = i
-        self.dimension = len(self.index)
-        self.echelon = SparseEchelon(RATIONALS)
-        self._build()
-
-    def _build(self):
-        lengths = self.lengths
-        t = len(lengths)
-        for a in range(t - 1):
-            pair_rows = _theta_pair_rows(lengths[a], lengths[a + 1], self.m, self.n)
-            if not pair_rows:
-                continue
-            sides = [self.bases[k] for k in range(t) if k not in (a, a + 1)]
-            for bystander in itertools.product(*sides):
-                pre = bystander[:a]
-                post = bystander[a:]
-                for row in pair_rows:
-                    vec = {}
-                    for (col_a, col_b), coeff in row:
-                        combo = pre + (col_a, col_b) + post
-                        vec[self.index[combo]] = coeff
-                    self.echelon.insert(vec)
-
-    @property
-    def rank(self):
-        return self.echelon.rank
-
-    @property
-    def quotient_dimension(self):
-        return self.dimension - self.rank
-
-    def vector_of(self, combination):
-        """Coordinates of {tableau: coefficient} over the spanning fillings.
-
-        Columns are normalized first; coefficients become Fractions.
-        """
-        vec = {}
-        for t, coeff in combination.items():
-            sign = 1
-            cols = []
-            for col in t:
-                norm = normalize_column(col)
-                if norm is None:
-                    break
-                cols.append(norm[0])
-                sign *= norm[1]
-            else:
-                idx = self.index[tuple(cols)]
-                vec[idx] = vec.get(idx, 0) + Fraction(coeff) * sign
-        return vec
-
-    def contains(self, combination):
-        return self.echelon.contains(self.vector_of(combination))
-
-
-def relation_membership(combination, m=None, n=None):
-    """True when a tableau combination lies in the quadratic relation span.
-
-    All tableaux must share one shape.  The entry range defaults to the
-    smallest range covering the entries.  Guarded to small shapes: the
-    spanning set is exponential in the number of boxes.
-    """
-    if not combination:
-        return True
-    shapes = {Tableau(t).shape for t in combination}
-    if len(shapes) > 1:
-        raise ValueError("mixed shapes in combination")
-    shape = shapes.pop()
-    if shape.size > 8:
-        raise ValueError("size guard: shapes above 8 boxes are not supported")
-    entries = [v for t in combination for col in t for v in col]
-    if m is None:
-        m = max((-v for v in entries if v < 0), default=0)
-    if n is None:
-        n = max((v for v in entries if v > 0), default=0)
-    span = RelationSpan(shape, m, n)
-    return span.contains(combination)
