@@ -13,9 +13,8 @@ import tempfile
 from fractions import Fraction
 
 from .complexes import (_array, complex_from_dict, complex_to_dict,
-                        homology_from_ranks, homology_ranks_at_point,
-                        validate_complex)
-from .ring import mat_generic_rank
+                        generic_ranks, homology_from_ranks,
+                        homology_ranks_at_point, validate_complex)
 from .schur import SchurBasis, schur_complex
 from .tableaux import Partition, Tableau, straighten, to_entries
 
@@ -176,8 +175,7 @@ def cmd_verify(args):
 
 def cmd_ranks(args):
     f = _load(args.complex, "complex", complex_from_dict)
-    d_ranks = [mat_generic_rank(d, trials=args.trials, seed=args.seed)
-               for d in f.differentials]
+    d_ranks = generic_ranks(f, trials=args.trials, seed=args.seed)
     print("degrees %d..%d, ranks %s" % (
         f.min_degree, f.max_degree, " ".join(str(r) for r in f.ranks)))
     for i, r in enumerate(d_ranks):

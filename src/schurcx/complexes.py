@@ -10,7 +10,8 @@ import itertools
 import json
 
 from .ring import (CoefficientField, PolyRing, PolyMatrix, RATIONALS,
-                   _coerce_point, mat_mul, scalar_rank)
+                   _check_trials, _coerce_point, _trial_ranks,
+                   mat_generic_rank, mat_mul, scalar_rank)
 
 
 def _check_terms(min_degree, ranks, count):
@@ -137,6 +138,42 @@ def homology_from_ranks(f, d_ranks):
     d_rank = dict(zip(range(f.min_degree + 1, f.max_degree + 1), d_ranks))
     return [f.rank_at(k) - d_rank.get(k, 0) - d_rank.get(k + 1, 0)
             for k in f.degrees()]
+
+
+def generic_ranks(f, trials=3, seed=0):
+    """The `mat_generic_rank(d, trials, seed)` of each differential d of f,
+    with each trial that cannot raise it skipped.
+
+    A trial rank is a lower bound on the rank over the fraction field.  When
+    d.d = 0, the image of d_k lies in the kernel of d_(k-1) and holds the
+    image of d_(k+1), so, with r the best trial rank of each neighbour,
+    rank d_k <= min(rank F_(k-1) - r_(k-1), rank F_k - r_(k+1)).  A best
+    trial rank that meets this bound is the generic rank, which no later
+    trial exceeds, so the trials of d_k stop there.  The trials run in
+    rounds, in ascending degree; a round gives one more trial, the next one
+    `mat_generic_rank` would run, to each differential still below its
+    bound.  Over a small GF(p) the bound may never be met, and then every
+    trial runs.  `trials` is checked first.  When `validate_complex` finds
+    d.d != 0, or with one trial, where the bound could stop nothing, each
+    differential runs `mat_generic_rank` on its own.
+
+    >>> from schurcx import PolyRing, RATIONALS, koszul_complex
+    >>> f = koszul_complex(PolyRing(RATIONALS, ("x", "y")).gens())
+    >>> generic_ranks(f)
+    [1, 1]
+    """
+    _check_trials(trials)
+    diffs = f.differentials
+    if trials == 1 or validate_complex(f):
+        return [mat_generic_rank(d, trials, seed) for d in diffs]
+    streams = [_trial_ranks(d, seed) for d in diffs]
+    # best[i] belongs to d_(min_degree + i); best[0] and best[-1] stay 0
+    best = [0] * (len(diffs) + 2)
+    for _ in range(trials):
+        for i, d in enumerate(diffs, 1):
+            if best[i] < min(d.rows - best[i - 1], d.cols - best[i + 1]):
+                best[i] = max(best[i], next(streams[i - 1]))
+    return best[1:-1]
 
 
 def homology_ranks_at_point(f, point):

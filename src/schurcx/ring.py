@@ -26,6 +26,7 @@ No floating point is used anywhere.
 
 from fractions import Fraction
 import heapq
+import itertools
 from operator import add, mul, sub
 import random
 import re
@@ -38,9 +39,11 @@ _NAME = r"[^\W\d]\w*"  # a variable name: a word that does not start with a digi
 # The largest size, in bits, that one term of an exact rational value may
 # reach (8 KB); x^99999999999 at the point 2 would need 10^11 bits.
 MAX_VALUE_BITS = 1 << 16
-# The most trials `mat_generic_rank` runs.  Only a full rank stops the trials
-# early, so on a rank-deficient matrix every trial runs; past a few the bound
-# hardly improves (see its docstring), while the time grows without end.
+# The most trials `mat_generic_rank` and `complexes.generic_ranks` run on one
+# matrix.  A trial stops them early only at a proven rank (a full one, or the
+# d.d = 0 bound in `generic_ranks`), so on an unproven rank every trial runs;
+# past a few the bound hardly improves (see `mat_generic_rank`), while the
+# time grows without end.
 MAX_TRIALS = 100
 # The most rows or columns `mat_rank_exact` takes; Bareiss entries grow each step.
 MAX_BAREISS_DIM = 64
@@ -693,9 +696,6 @@ class SparseEchelon:
         self.rows[piv] = {k: self.field.coerce(c * inv) for k, c in res.items()}
         return True
 
-    def contains(self, vec):
-        return not self.reduce(vec)
-
 
 def scalar_rank(field, vectors):
     """Rank of the span of sparse vectors {index: scalar}, by exact elimination.
@@ -734,6 +734,31 @@ def _values_mod_random_prime(a, point, rng):
             continue
 
 
+def _check_trials(trials):
+    """Raise ValueError unless trials is an int in [1, MAX_TRIALS]."""
+    if type(trials) is not int:  # not float, not bool
+        raise ValueError("trials must be an integer, got %r" % (trials,))
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    if trials > MAX_TRIALS:
+        raise ValueError("trials must be at most %d, got %d" % (MAX_TRIALS, trials))
+
+
+def _trial_ranks(a, seed):
+    """The rank of a at one seeded random specialization per item, without end.
+
+    See `mat_generic_rank` for the draws: the items are its trials, in order.
+    """
+    rng = random.Random(seed)
+    while True:
+        point = [rng.randint(1, 1 << 20) for _ in range(a.ring.nvars)]
+        if a.ring.field.is_rational:
+            field, values = _values_mod_random_prime(a, point, rng)
+        else:
+            field, values = a.ring.field, a.evaluate(point)
+        yield scalar_rank(field, values)
+
+
 def mat_generic_rank(a, trials=3, seed=0):
     """Monte Carlo generic rank: the largest rank over random specializations.
 
@@ -744,8 +769,9 @@ def mat_generic_rank(a, trials=3, seed=0):
     coefficients mod q (drawing again if q divides a denominator), evaluates
     there with modular powers, so no exact value is ever formed, and ranks
     the values over GF(q).  The trials stop once the rank is
-    min(rows, cols), which no trial can exceed.  More than MAX_TRIALS
-    trials raises ValueError.
+    min(rows, cols), which no trial can exceed; a matrix alone proves no
+    smaller rank (`complexes.generic_ranks` proves more from d.d = 0).  More
+    than MAX_TRIALS trials raises ValueError.
 
     The result is a lower bound on the generic rank: a minor that is
     nonzero mod q is nonzero at the point, and one that is nonzero at the
@@ -756,22 +782,11 @@ def mat_generic_rank(a, trials=3, seed=0):
     factors).  Over a small prime field it can stay below: coordinates are
     taken mod p, so over GF(2) `[[x^2 + x]]` ranks 0 at every point.
     """
-    if type(trials) is not int:  # not float, not bool
-        raise ValueError("trials must be an integer, got %r" % (trials,))
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    if trials > MAX_TRIALS:
-        raise ValueError("trials must be at most %d, got %d" % (MAX_TRIALS, trials))
+    _check_trials(trials)
     full = min(a.rows, a.cols)
-    rng = random.Random(seed)
     best = 0
-    for _ in range(trials):
-        point = [rng.randint(1, 1 << 20) for _ in range(a.ring.nvars)]
-        if a.ring.field.is_rational:
-            field, values = _values_mod_random_prime(a, point, rng)
-        else:
-            field, values = a.ring.field, a.evaluate(point)
-        best = max(best, scalar_rank(field, values))
+    for rank in itertools.islice(_trial_ranks(a, seed), trials):
+        best = max(best, rank)
         if best == full:
             break
     return best

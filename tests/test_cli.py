@@ -15,7 +15,8 @@ from schurcx import (RATIONALS, GF, PolyRing, koszul_complex, save_complex,
                      schur_complex)
 from schurcx.complexes import complex_from_dict, load_complex
 from schurcx.cli import main
-from schurcx.ring import MAX_TRIALS
+import schurcx.ring
+from schurcx.ring import MAX_TRIALS, mat_generic_rank
 from schurcx.tableaux import to_entries
 
 REPO = Path(__file__).resolve().parents[1]
@@ -203,6 +204,27 @@ def test_ranks_huge_exponent_is_fast(tmp_path, capsys, field):
     assert time.monotonic() - start < 2.0
 
 
+@pytest.mark.parametrize("field", ["QQ", "GF"])
+def test_ranks_huge_exponent_three_terms_is_fast(tmp_path, capsys, field):
+    # the d.d proof multiplies x^99999999999 by y by adding exponents
+    data = {
+        "ring": {"coefficients": "QQ" if field == "QQ" else {"p": 32003},
+                 "variables": ["x", "y"]},
+        "min_degree": 0,
+        "ranks": [1, 2, 1],
+        "differentials": [[["x^99999999999", "y"]],
+                          [["-y"], ["x^99999999999"]]],
+    }
+    path = tmp_path / "power.json"
+    path.write_text(json.dumps(data))
+    start = time.monotonic()
+    assert main(["ranks", "--complex", str(path)]) == 0
+    assert capsys.readouterr().out == (
+        "degrees 0..2, ranks 1 2 1\nrank d_1 = 1\nrank d_2 = 1\n"
+        "h_0 = 0\nh_1 = 0\nh_2 = 0\n")
+    assert time.monotonic() - start < 2.0
+
+
 @pytest.mark.parametrize("field, point, h", [
     # h is the homology rank in degrees 0 and 1; None: the value is too big
     ("QQ", "2", None), ("QQ", "1/2", None), ("QQ", "-3", None),
@@ -248,6 +270,49 @@ def test_verify_catches_broken_differential(tmp_path, capsys):
     assert main(["verify", "--complex", str(path)]) == 1
     text = capsys.readouterr().out
     assert text == "d_1 . d_2 != 0 at row 0, column 0\n"
+
+
+def test_ranks_of_a_broken_complex_rank_each_differential(tmp_path, capsys):
+    # d.d != 0 proves no bound, so each differential gets its own trials
+    data = {
+        "ring": {"coefficients": "QQ", "variables": ["x", "y"]},
+        "min_degree": 0,
+        "ranks": [1, 2, 1],
+        "differentials": [[["x", "y"]], [["y"], ["x"]]],
+    }
+    path = tmp_path / "broken.json"
+    path.write_text(json.dumps(data))
+    f = complex_from_dict(data)
+    want = [mat_generic_rank(d) for d in f.differentials]
+    assert want == [1, 1]
+    assert main(["ranks", "--complex", str(path)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "degrees 0..2, ranks 1 2 1",
+        "rank d_1 = %d" % want[0],
+        "rank d_2 = %d" % want[1],
+        "h_0 = 0",
+        "h_1 = 0",
+        "h_2 = 0",
+    ]
+
+
+def test_ranks_prove_each_rank_with_one_elimination(tmp_path, capsys,
+                                                    monkeypatch):
+    ring = PolyRing(GF(32003), ("x", "y", "z"))
+    s = schur_complex((2, 1), koszul_complex(ring.gens()))
+    path = tmp_path / "s21.json"
+    save_complex(s, str(path))
+    calls = []
+    real = schurcx.ring.scalar_rank
+
+    def counting(field, vectors):
+        calls.append(field)
+        return real(field, vectors)
+
+    monkeypatch.setattr(schurcx.ring, "scalar_rank", counting)
+    assert main(["ranks", "--complex", str(path)]) == 0
+    assert capsys.readouterr().out.endswith("h_%d = 0\n" % s.max_degree)
+    assert len(calls) == len(s.differentials) == 7
 
 
 def test_ranks_output(capsys, koszul_file):

@@ -12,8 +12,9 @@ from schurcx import (GF, RATIONALS, FreeComplex, PolyMatrix, PolyRing,
                      validate_complex)
 import schurcx.complexes
 import schurcx.ring
-from schurcx.complexes import complex_from_dict, complex_to_dict, load_complex
-from schurcx.ring import _coerce_point
+from schurcx.complexes import (complex_from_dict, complex_to_dict,
+                               generic_ranks, load_complex)
+from schurcx.ring import _coerce_point, mat_generic_rank
 from schurcx.schur import SchurBasis, schur_complex
 
 
@@ -190,6 +191,112 @@ def test_random_three_term_is_complex():
     for seed in range(12):
         for field in (RATIONALS, GF(2), GF(3)):
             assert validate_complex(random_three_term(seed, field)) == []
+
+
+def _each_on_its_own(f, trials, seed):
+    return [mat_generic_rank(d, trials, seed) for d in f.differentials]
+
+
+def _stuck_complex():
+    # over GF(2), x^2 + x vanishes at every point, so no trial of d_1 reaches
+    # its generic rank 1 and its bound; d_2 is proven at once
+    ring = PolyRing(GF(2), ("x",))
+    x = ring.variable("x")
+    d1 = PolyMatrix(ring, [[x * x + x, ring.zero()]])
+    d2 = PolyMatrix(ring, [[ring.zero()], [ring.one()]])
+    return FreeComplex(ring, 0, (1, 2, 1), (d1, d2))
+
+
+def _rank_cases():
+    for field in (RATIONALS, GF(2), GF(3), GF(32003)):
+        k = koszul_complex(PolyRing(field, ("x", "y", "z")).gens())
+        yield k
+        for shape in ((2,), (1, 1), (2, 1)):
+            yield schur_complex(shape, k)
+        for seed in range(3):
+            f = random_three_term(seed, field)
+            yield f
+            yield schur_complex((2, 1), f)
+    yield _stuck_complex()
+
+
+def test_generic_ranks_equal_each_differential_on_its_own():
+    cases = 0
+    for f in _rank_cases():
+        assert validate_complex(f) == []
+        for trials in (1, 2, 3):
+            for seed in (0, 7, 99):
+                assert (generic_ranks(f, trials, seed)
+                        == _each_on_its_own(f, trials, seed)), (f, trials, seed)
+                cases += 1
+    assert cases == 9 * (4 * 10 + 1)
+
+
+def _counting_trials(monkeypatch, plant=None):
+    """Count the trials drawn per differential; plant(d, j, rank) may change
+    what trial j (from 0) of d reads."""
+    drawn = {}
+    real = schurcx.complexes._trial_ranks
+
+    def trials(d, seed):
+        for j, rank in enumerate(real(d, seed)):
+            drawn[id(d)] = j + 1
+            yield rank if plant is None else plant(d, j, rank)
+
+    monkeypatch.setattr(schurcx.complexes, "_trial_ranks", trials)
+    return drawn
+
+
+def test_generic_ranks_run_every_trial_below_the_bound(monkeypatch):
+    f = _stuck_complex()
+    drawn = _counting_trials(monkeypatch)
+    assert generic_ranks(f, 3, 0) == [0, 1]
+    d1, d2 = f.differentials
+    assert (drawn[id(d1)], drawn[id(d2)]) == (3, 1)
+
+
+def test_generic_ranks_refuse_a_planted_low_rank(monkeypatch):
+    ring = PolyRing(GF(32003), ("x", "y", "z"))
+    f = schur_complex((2, 1), koszul_complex(ring.gens()))
+    want = generic_ranks(f, 3, 0)
+    target = f.differentials[2]
+    assert want[2] > 0
+    # the first trial of one differential reads one too low: that trial is
+    # below the bound, so a second one runs and finds the true rank
+    drawn = _counting_trials(
+        monkeypatch, lambda d, j, rank: rank - (d is target and j == 0))
+    assert generic_ranks(f, 3, 0) == want
+    assert [drawn[id(d)] for d in f.differentials] == [
+        2 if d is target else 1 for d in f.differentials]
+    # when every trial reads low, no bound is met on it: all three run, and
+    # the result is the best trial, as `mat_generic_rank` would return it
+    drawn = _counting_trials(monkeypatch, lambda d, j, rank: rank - (d is target))
+    got = generic_ranks(f, 3, 0)
+    assert got == want[:2] + [want[2] - 1] + want[3:]
+    assert drawn[id(target)] == 3
+
+
+def test_generic_ranks_fall_back_when_d_squared_is_not_zero(monkeypatch):
+    # d_2 . d_1 = x*y: the bound would read rank d_2 <= 1 - 1 = 0
+    ring = PolyRing(RATIONALS, ("x", "y"))
+    x, y = ring.gens()
+    f = FreeComplex(ring, 0, (1, 1, 1),
+                    (PolyMatrix(ring, [[x]]), PolyMatrix(ring, [[y]])))
+    assert validate_complex(f) != []
+    drawn = _counting_trials(monkeypatch)
+    assert generic_ranks(f, 3, 0) == _each_on_its_own(f, 3, 0) == [1, 1]
+    assert drawn == {}  # each differential ran `mat_generic_rank` itself
+
+
+@pytest.mark.parametrize("trials", [0, 101, 2.5, True])
+def test_generic_ranks_check_trials_first(monkeypatch, trials):
+    calls = []
+    monkeypatch.setattr(schurcx.complexes, "validate_complex", calls.append)
+    ring = PolyRing(RATIONALS, ("x",))
+    f = FreeComplex(ring, 0, (4,), ())  # no differential: nothing else to check
+    with pytest.raises(ValueError, match="trials must be"):
+        generic_ranks(f, trials)
+    assert calls == []
 
 
 def test_json_round_trip(tmp_path, koszul_xy):

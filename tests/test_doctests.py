@@ -6,6 +6,7 @@ import re
 from pathlib import Path
 
 import schurcx
+import schurcx.complexes
 import schurcx.oracles
 import schurcx.ring
 import schurcx.tableaux
@@ -14,7 +15,8 @@ README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def test_docstring_examples():
-    for module in (schurcx, schurcx.oracles, schurcx.ring, schurcx.tableaux):
+    for module in (schurcx, schurcx.complexes, schurcx.oracles, schurcx.ring,
+                   schurcx.tableaux):
         result = doctest.testmod(module)
         assert result.attempted > 0, module.__name__
         assert result.failed == 0, module.__name__
