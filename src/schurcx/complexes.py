@@ -153,9 +153,14 @@ def generic_ranks(f, trials=3, seed=0):
     rounds, in ascending degree; a round gives one more trial, the next one
     `mat_generic_rank` would run, to each differential still below its
     bound.  Over a small GF(p) the bound may never be met, and then every
-    trial runs.  `trials` is checked first.  When `validate_complex` finds
-    d.d != 0, or with one trial, where the bound could stop nothing, each
-    differential runs `mat_generic_rank` on its own.
+    trial runs.  A trial of d_k that drew the same point and field as the
+    latest trial of d_(k-1) ranks d_k without the rows of that trial's
+    pivot columns, and stops at min(cols, the rows left): the rank at the
+    point stays, because d.d = 0 there too (see `ring._trial_ranks`).
+    Any other trial ranks d_k whole.  `trials` is checked first.  When
+    `validate_complex` finds d.d != 0, or with one trial, where the bound
+    could stop nothing, each differential runs `mat_generic_rank` on its
+    own.
 
     >>> from schurcx import PolyRing, RATIONALS, koszul_complex
     >>> f = koszul_complex(PolyRing(RATIONALS, ("x", "y")).gens())
@@ -166,7 +171,11 @@ def generic_ranks(f, trials=3, seed=0):
     diffs = f.differentials
     if trials == 1 or validate_complex(f):
         return [mat_generic_rank(d, trials, seed) for d in diffs]
-    streams = [_trial_ranks(d, seed) for d in diffs]
+    # found[i] holds the draw and pivot columns of the latest trial of
+    # d_(min_degree + i); found[0] belongs to no differential
+    found = [[None, ()] for _ in range(len(diffs) + 1)]
+    streams = [_trial_ranks(d, seed, found[i], found[i + 1])
+               for i, d in enumerate(diffs)]
     # best[i] belongs to d_(min_degree + i); best[0] and best[-1] stay 0
     best = [0] * (len(diffs) + 2)
     for _ in range(trials):
@@ -176,17 +185,64 @@ def generic_ranks(f, trials=3, seed=0):
     return best[1:-1]
 
 
+def _composes_to_zero(field, lower, upper):
+    """Whether lower . upper == 0 for evaluated columns {row: scalar}.
+
+    Exact sums of products of scalars: no polynomial is multiplied.
+    """
+    p = field.p
+    for col in upper:
+        acc = {}
+        for k, c in col.items():
+            for i, v in lower[k].items():
+                acc[i] = acc.get(i, 0) + v * c
+        if any(s if p is None else s % p for s in acc.values()):
+            return False
+    return True
+
+
+def _ranks_at_point(field, values, ranks):
+    """The ranks of evaluated differentials d_1, d_2, ..., in ascending degree.
+
+    values holds the columns of each differential at one point and ranks the
+    term ranks.  The columns of d_k that raised its rank are independent, so
+    when d_k . d_(k+1) == 0 at the point, their span meets ker d_k, which
+    holds im d_(k+1), only in 0: deleting those rows from d_(k+1) keeps its
+    rank (one pair step of Gaussian elimination on a chain complex).  The
+    product is checked only where there are rows to delete; where it is not
+    zero, d_(k+1) is ranked whole.  Each elimination stops at
+    min(cols, rows left).
+    """
+    out, skip = [], ()
+    for i, cols in enumerate(values):
+        if skip and not _composes_to_zero(field, values[i - 1], cols):
+            skip = ()
+        raised = []
+        out.append(scalar_rank(field, cols, skip,
+                               min(ranks[i + 1], ranks[i] - len(skip)), raised))
+        skip = set(raised)
+    return out
+
+
 def homology_ranks_at_point(f, point):
     """Homology ranks of the complex specialized at a point, low degree first.
 
     The point is checked once, before the differentials, so a complex with
-    none still rejects a point that does not fit its ring.  Over QQ an entry
-    whose value would exceed `ring.MAX_VALUE_BITS` raises ValueError.
+    none still rejects a point that does not fit its ring.  Every
+    differential is evaluated before any is ranked, and over QQ an entry
+    whose value would exceed `ring.MAX_VALUE_BITS` raises ValueError.  The
+    ranks are exact: d.d = 0 is proved at the point, on the evaluated
+    columns, for each pair in which the pivot columns of d_k delete rows of
+    d_(k+1); where it fails, d_(k+1) is ranked whole (`_ranks_at_point`).
+
+    >>> from schurcx import PolyRing, RATIONALS, koszul_complex
+    >>> f = koszul_complex(PolyRing(RATIONALS, ("x", "y")).gens())
+    >>> homology_ranks_at_point(f, (1, 2))
+    [0, 0, 0]
     """
     point = _coerce_point(f.ring, point)
-    field = f.ring.field
-    return homology_from_ranks(
-        f, [scalar_rank(field, d.evaluate(point)) for d in f.differentials])
+    values = [d.evaluate(point) for d in f.differentials]
+    return homology_from_ranks(f, _ranks_at_point(f.ring.field, values, f.ranks))
 
 
 # -- files -------------------------------------------------------------------

@@ -10,9 +10,12 @@ arithmetic reduces its sums mod p and drops their zeros in one place,
 back as a `Polynomial`.  Matrix products and Bareiss elimination work on
 the stored columns: `mat_mul` groups each column's scalars by monomial,
 and Bareiss uses `add_product`, `reduce_terms` and `exact_quotient`.
-Ranks at a given point are exact; over the rationals a term whose size
-estimate exceeds `MAX_VALUE_BITS` bits is refused just before it would be
-computed.  Generic ranks (`mat_generic_rank`) are Monte Carlo lower
+Ranks at a given point are exact, by one elimination, `scalar_rank`; the
+differentials of a complex at a point are ranked in ascending degree, each
+without the rows that the pivot columns of the one below it delete
+(`complexes.homology_ranks_at_point`).  Over the rationals a term whose
+size estimate exceeds `MAX_VALUE_BITS` bits is refused just before it
+would be computed.  Generic ranks (`mat_generic_rank`) are Monte Carlo lower
 bounds; over the rationals each random specialization is evaluated modulo
 a random prime in [2^30, 2^31) and ranked there, since the rank mod a
 prime is at most the rank over QQ.
@@ -697,21 +700,33 @@ class SparseEchelon:
         return True
 
 
-def scalar_rank(field, vectors):
+def scalar_rank(field, vectors, skip=(), stop=None, raised=None):
     """Rank of the span of sparse vectors {index: scalar}, by exact elimination.
 
     The columns of `PolyMatrix.evaluate` go in as they are: the rank of the
-    column span is the rank of the matrix.
+    column span is the rank of the matrix.  The indices in skip are dropped
+    from every vector, which ranks the matrix with those rows deleted.  The
+    elimination ends once the rank reaches stop, a bound the caller has
+    proved, and reads no vector after that.  When raised is a list, the
+    position of each vector that raised the rank is appended to it: those
+    vectors are independent, and span as much as all the vectors read.
+
+    >>> scalar_rank(GF(5), [{0: 1, 1: 2}, {0: 2, 1: 4}, {1: 1}, {0: 3}])
+    2
+    >>> raised = []
+    >>> scalar_rank(GF(5), [{0: 1, 1: 2}, {0: 2, 1: 4}, {1: 1}, {0: 3}],
+    ...             skip={0}, stop=1, raised=raised), raised
+    (1, [0])
     """
     echelon = SparseEchelon(field)
-    for vec in vectors:
-        echelon.insert(vec)
+    for j, vec in enumerate(vectors):
+        if echelon.rank == stop:
+            break
+        if skip:
+            vec = {i: c for i, c in vec.items() if i not in skip}
+        if echelon.insert(vec) and raised is not None:
+            raised.append(j)
     return echelon.rank
-
-
-def mat_rank_at_point(a, point):
-    """Rank of the matrix specialized at a point, by exact elimination."""
-    return scalar_rank(a.ring.field, a.evaluate(point))
 
 
 def random_prime(rng):
@@ -744,10 +759,17 @@ def _check_trials(trials):
         raise ValueError("trials must be at most %d, got %d" % (MAX_TRIALS, trials))
 
 
-def _trial_ranks(a, seed):
+def _trial_ranks(a, seed, below=None, found=None):
     """The rank of a at one seeded random specialization per item, without end.
 
     See `mat_generic_rank` for the draws: the items are its trials, in order.
+    Each elimination stops at min(rows, cols).  Given the list found, each
+    trial leaves there its draw, the pair (point, field), and the set of
+    columns that raised its rank.  In a complex with d.d = 0, with a = d_(k+1)
+    and below the found of d_k's stream, a trial at below's draw deletes
+    below's columns from the rows of a and stops at min(cols, rows left):
+    those columns of d_k are independent, so their span meets ker d_k,
+    which holds im d_(k+1), only in 0, and the rank stays.
     """
     rng = random.Random(seed)
     while True:
@@ -756,7 +778,14 @@ def _trial_ranks(a, seed):
             field, values = _values_mod_random_prime(a, point, rng)
         else:
             field, values = a.ring.field, a.evaluate(point)
-        yield scalar_rank(field, values)
+        draw = (point, field)
+        skip = below[1] if below is not None and below[0] == draw else ()
+        raised = []
+        rank = scalar_rank(field, values, skip, min(a.cols, a.rows - len(skip)),
+                           raised)
+        if found is not None:
+            found[:] = draw, set(raised)
+        yield rank
 
 
 def mat_generic_rank(a, trials=3, seed=0):
@@ -768,10 +797,10 @@ def mat_generic_rank(a, trials=3, seed=0):
     from `random_prime` with the same RNG, reduces the point and the
     coefficients mod q (drawing again if q divides a denominator), evaluates
     there with modular powers, so no exact value is ever formed, and ranks
-    the values over GF(q).  The trials stop once the rank is
-    min(rows, cols), which no trial can exceed; a matrix alone proves no
-    smaller rank (`complexes.generic_ranks` proves more from d.d = 0).  More
-    than MAX_TRIALS trials raises ValueError.
+    the values over GF(q).  The trials, and the elimination in each, stop
+    once the rank is min(rows, cols), which no trial can exceed; a matrix
+    alone proves no smaller rank (`complexes.generic_ranks` proves more from
+    d.d = 0).  More than MAX_TRIALS trials raises ValueError.
 
     The result is a lower bound on the generic rank: a minor that is
     nonzero mod q is nonzero at the point, and one that is nonzero at the

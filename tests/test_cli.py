@@ -15,6 +15,7 @@ from schurcx import (RATIONALS, GF, PolyRing, koszul_complex, save_complex,
                      schur_complex)
 from schurcx.complexes import complex_from_dict, load_complex
 from schurcx.cli import main
+import schurcx.complexes
 import schurcx.ring
 from schurcx.ring import MAX_TRIALS, mat_generic_rank
 from schurcx.tableaux import to_entries
@@ -247,6 +248,54 @@ def test_homology_huge_exponent_is_fast(tmp_path, capsys, field, point, h):
     assert time.monotonic() - start < 2.0
 
 
+def test_homology_refuses_a_huge_koszul_value_before_ranking(tmp_path, capsys):
+    # Koszul(x^99999999999, y): every differential is evaluated before any
+    # is ranked or proved, so the refusal is the one of the first value
+    data = {
+        "ring": {"coefficients": "QQ", "variables": ["x", "y"]},
+        "min_degree": 0,
+        "ranks": [1, 2, 1],
+        "differentials": [[["x^99999999999", "y"]],
+                          [["-y"], ["x^99999999999"]]],
+    }
+    path = tmp_path / "koszul_power.json"
+    path.write_text(json.dumps(data))
+    start = time.monotonic()
+    assert main(["homology", "--complex", str(path), "--point", "2,1"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("the value at the point would exceed 65536 bits, "
+                            "the bound for exact evaluation\n")
+    assert time.monotonic() - start < 2.0
+
+
+def test_homology_multiplies_no_polynomials(tmp_path, capsys, monkeypatch):
+    # d_1 . d_2 = p*q has 4,000,000 term products; at (1, 1), p is 2000 and
+    # q, with alternating signs, is 0, so the point proof passes on scalars
+    p = " + ".join("x^%d*y^%d" % (i, 1999 - i) for i in range(2000))
+    q = " ".join("%s x^%d*y^%d" % ("-" if i % 2 else "+", i, 1999 - i)
+                 for i in range(2000))
+    data = {
+        "ring": {"coefficients": "QQ", "variables": ["x", "y"]},
+        "min_degree": 0,
+        "ranks": [1, 1, 1],
+        "differentials": [[[p]], [[q]]],
+    }
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(data))
+
+    def refuse(a, b):
+        raise AssertionError("mat_mul called")
+
+    monkeypatch.setattr(schurcx.complexes, "mat_mul", refuse)
+    monkeypatch.setattr(schurcx.ring, "mat_mul", refuse)
+    assert main(["homology", "--complex", str(path), "--point", "1,1"]) == 0
+    assert capsys.readouterr().out == "h_0 = 0\nh_1 = 0\nh_2 = 1\n"
+    # at (1, 2) the product is not zero: d_2 is ranked whole
+    assert main(["homology", "--complex", str(path), "--point", "1,2"]) == 0
+    assert capsys.readouterr().out == "h_0 = 0\nh_1 = -1\nh_2 = 0\n"
+
+
 def test_schur_identity_shape_returns_input(tmp_path, capsys, koszul_file):
     out = tmp_path / "same.json"
     assert main(["schur", "--complex", koszul_file, "--shape", "1",
@@ -305,9 +354,9 @@ def test_ranks_prove_each_rank_with_one_elimination(tmp_path, capsys,
     calls = []
     real = schurcx.ring.scalar_rank
 
-    def counting(field, vectors):
+    def counting(field, vectors, *bounds):
         calls.append(field)
-        return real(field, vectors)
+        return real(field, vectors, *bounds)
 
     monkeypatch.setattr(schurcx.ring, "scalar_rank", counting)
     assert main(["ranks", "--complex", str(path)]) == 0

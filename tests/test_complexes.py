@@ -13,8 +13,9 @@ from schurcx import (GF, RATIONALS, FreeComplex, PolyMatrix, PolyRing,
 import schurcx.complexes
 import schurcx.ring
 from schurcx.complexes import (complex_from_dict, complex_to_dict,
-                               generic_ranks, load_complex)
-from schurcx.ring import _coerce_point, mat_generic_rank
+                               generic_ranks, homology_from_ranks,
+                               load_complex)
+from schurcx.ring import _coerce_point, mat_generic_rank, scalar_rank
 from schurcx.schur import SchurBasis, schur_complex
 
 
@@ -176,6 +177,60 @@ def test_homology_checks_point_without_differentials(point):
     assert homology_ranks_at_point(f, (1, 2)) == [3]
 
 
+def _independent_homology(f, point):
+    """Homology at the point from one elimination of each whole differential."""
+    field = f.ring.field
+    return homology_from_ranks(
+        f, [scalar_rank(field, d.evaluate(point)) for d in f.differentials])
+
+
+@pytest.mark.parametrize("field", [RATIONALS, GF(2), GF(3), GF(32003)],
+                         ids=repr)
+def test_homology_at_point_equals_independent_ranks(field):
+    k = koszul_complex(PolyRing(field, ("x", "y", "z")).gens())
+    xyz = ((0, 0, 0), (1, 0, 2), (0, 3, 0))
+    cases = [(k, xyz)] + [(schur_complex(shape, k), xyz) for shape in
+                          ((2, 1), (3, 2), (2, 2), (2, 2, 2))]
+    cases += [(random_three_term(seed, field), ((0, 0), (1, 0), (0, 2), (2, -1)))
+              for seed in range(3)]
+    for f, points in cases:
+        for point in points:
+            assert (homology_ranks_at_point(f, point)
+                    == _independent_homology(f, point)), (f, point)
+
+
+def test_homology_at_point_ranks_whole_when_d_squared_is_not_zero():
+    # d_1 . d_2 = x*y is 1 at (1, 1): deleting the pivot row of d_1 from d_2
+    # there would read rank d_2 = 0
+    ring = PolyRing(RATIONALS, ("x", "y"))
+    x, y = ring.gens()
+    f = FreeComplex(ring, 0, (1, 1, 1),
+                    (PolyMatrix(ring, [[x]]), PolyMatrix(ring, [[y]])))
+    assert homology_ranks_at_point(f, (1, 1)) == [0, -1, 0]
+    assert _independent_homology(f, (1, 1)) == [0, -1, 0]
+
+
+def test_homology_at_point_deletes_pivot_rows(monkeypatch):
+    # W1 = S_(3,2) of Koszul(x,y,z), split exact at a point with no zero
+    # coordinate; counted in entries put into elimination, not in seconds
+    ring = PolyRing(GF(32003), ("x", "y", "z"))
+    f = schur_complex((3, 2), koszul_complex(ring.gens()))
+    entries = []
+    insert = schurcx.ring.SparseEchelon.insert
+
+    def counting(echelon, vec):
+        entries.append(len(vec))
+        return insert(echelon, vec)
+
+    monkeypatch.setattr(schurcx.ring.SparseEchelon, "insert", counting)
+    zero = [0] * len(f.ranks)
+    assert _independent_homology(f, (5, 11, 17)) == zero
+    assert sum(entries) == 10153
+    entries.clear()
+    assert homology_ranks_at_point(f, (5, 11, 17)) == zero
+    assert sum(entries) < 10153 / 2
+
+
 def test_euler_characteristic_invariance():
     rng = random.Random(31)
     for seed in range(6):
@@ -238,8 +293,8 @@ def _counting_trials(monkeypatch, plant=None):
     drawn = {}
     real = schurcx.complexes._trial_ranks
 
-    def trials(d, seed):
-        for j, rank in enumerate(real(d, seed)):
+    def trials(d, seed, *chain):
+        for j, rank in enumerate(real(d, seed, *chain)):
             drawn[id(d)] = j + 1
             yield rank if plant is None else plant(d, j, rank)
 
@@ -286,6 +341,24 @@ def test_generic_ranks_fall_back_when_d_squared_is_not_zero(monkeypatch):
     drawn = _counting_trials(monkeypatch)
     assert generic_ranks(f, 3, 0) == _each_on_its_own(f, 3, 0) == [1, 1]
     assert drawn == {}  # each differential ran `mat_generic_rank` itself
+
+
+def test_generic_ranks_delete_rows_only_at_the_same_draw(monkeypatch):
+    # over GF(2) at seed 2, trial 0 draws (odd, even) and trial 1 (even, odd).
+    # d_1 = [x, 1] meets its bound at trial 0, with pivot column 0, and
+    # d_2 = [y; xy] is zero there, so d_2 alone draws trial 1, where its only
+    # nonzero entry lies in row 0, the pivot row of d_1's trial 0: deleting
+    # it there would read rank d_2 = 0
+    ring = PolyRing(GF(2), ("x", "y"))
+    x, y = ring.gens()
+    f = FreeComplex(ring, 0, (1, 2, 1),
+                    (PolyMatrix(ring, [[x, ring.one()]]),
+                     PolyMatrix(ring, [[y], [x * y]])))
+    assert validate_complex(f) == []
+    drawn = _counting_trials(monkeypatch)
+    assert generic_ranks(f, 2, 2) == _each_on_its_own(f, 2, 2) == [1, 1]
+    d1, d2 = f.differentials
+    assert (drawn[id(d1)], drawn[id(d2)]) == (1, 2)
 
 
 @pytest.mark.parametrize("trials", [0, 101, 2.5, True])

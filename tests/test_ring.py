@@ -14,7 +14,7 @@ from schurcx import (GF, RATIONALS, PolyMatrix, PolyRing, mat_generic_rank,
                      mat_rank_exact, schur_complex)
 import schurcx.ring
 from schurcx.ring import (Polynomial, exact_quotient, format_polynomial, is_prime,
-                          mat_mul, mat_rank_at_point, parse_polynomial,
+                          mat_mul, parse_polynomial,
                           random_prime, reduce_terms, scalar_rank)
 
 
@@ -239,16 +239,18 @@ def test_rank_at_point_identity_block():
     pt = [0] * 8
     pt[0] = 1   # x11
     pt[5] = 1   # x22
-    assert mat_rank_at_point(a, pt) == 2
+    assert scalar_rank(RATIONALS, a.evaluate(pt)) == 2
 
 
 def test_rank_at_point_zero_matrix(qq_xy):
-    assert mat_rank_at_point(PolyMatrix.zero(qq_xy, 3, 2), (5, 6)) == 0
+    a = PolyMatrix.zero(qq_xy, 3, 2)
+    assert scalar_rank(qq_xy.field, a.evaluate((5, 6))) == 0
 
 
 def test_rank_at_point_koszul_row(qq_xy):
     x, y = qq_xy.gens()
-    assert mat_rank_at_point(PolyMatrix(qq_xy, [[x, y]]), (1, 0)) == 1
+    a = PolyMatrix(qq_xy, [[x, y]])
+    assert scalar_rank(qq_xy.field, a.evaluate((1, 0))) == 1
 
 
 def test_generic_rank_full():
@@ -271,7 +273,7 @@ def test_specialization_only_drops_rank(qq_xy):
         g = mat_generic_rank(a)
         for _ in range(5):
             pt = [rng.randint(-3, 3) for _ in range(2)]
-            assert mat_rank_at_point(a, pt) <= g
+            assert scalar_rank(qq_xy.field, a.evaluate(pt)) <= g
 
 
 def test_generic_rank_permutation_invariant(qq_xy):
@@ -541,7 +543,7 @@ def test_scalar_rank_matches_bareiss():
                            shape=(nrows, ncols))
             vectors = [dict(enumerate(row)) for row in rows]
             assert scalar_rank(field, vectors) == mat_rank_exact(a)
-            assert mat_rank_at_point(a, (3,)) == mat_rank_exact(a)
+            assert scalar_rank(field, a.evaluate((3,))) == mat_rank_exact(a)
 
 
 def test_matrix_stores_only_nonzeros(qq_xy):
