@@ -10,8 +10,8 @@ import itertools
 import json
 
 from .ring import (CoefficientField, PolyRing, PolyMatrix, RATIONALS,
-                   _check_trials, _coerce_point, _trial_ranks,
-                   mat_generic_rank, mat_mul, scalar_rank)
+                   _check_trials, _coerce_point, _draws, _values_at,
+                   mat_mul, scalar_rank)
 
 
 def _check_terms(min_degree, ranks, count):
@@ -141,47 +141,50 @@ def homology_from_ranks(f, d_ranks):
 
 
 def generic_ranks(f, trials=3, seed=0):
-    """The `mat_generic_rank(d, trials, seed)` of each differential d of f,
-    with each trial that cannot raise it skipped.
+    """The best rank of each differential of f over seeded random draws.
 
-    A trial rank is a lower bound on the rank over the fraction field.  When
-    d.d = 0, the image of d_k lies in the kernel of d_(k-1) and holds the
-    image of d_(k+1), so, with r the best trial rank of each neighbour,
-    rank d_k <= min(rank F_(k-1) - r_(k-1), rank F_k - r_(k+1)).  A best
-    trial rank that meets this bound is the generic rank, which no later
-    trial exceeds, so the trials of d_k stop there.  The trials run in
-    rounds, in ascending degree; a round gives one more trial, the next one
-    `mat_generic_rank` would run, to each differential still below its
-    bound.  Over a small GF(p) the bound may never be met, and then every
-    trial runs.  A trial of d_k that drew the same point and field as the
-    latest trial of d_(k-1) ranks d_k without the rows of that trial's
-    pivot columns, and stops at min(cols, the rows left): the rank at the
-    point stays, because d.d = 0 there too (see `ring._trial_ranks`).
-    Any other trial ranks d_k whole.  `trials` is checked first.  When
-    `validate_complex` finds d.d != 0, or with one trial, where the bound
-    could stop nothing, each differential runs `mat_generic_rank` on its
-    own.
+    A trial is one draw for the whole complex, a point and over QQ a prime
+    (see `mat_generic_rank`), at which the differentials still below their
+    bound are ranked in ascending degree by `_ranks_at_point`.  A trial rank
+    is a lower bound on the rank over the fraction field.  When d.d = 0, the
+    image of d_k lies in the kernel of d_(k-1) and holds the image of
+    d_(k+1), so, with r the best trial rank of each neighbour,
+    rank d_k <= min(rank F_(k-1) - r_(k-1), rank F_k - r_(k+1)).  With more
+    than one trial `validate_complex` proves d.d = 0 on the ring; then a
+    rank that meets this bound is the generic rank, and d_k is not ranked
+    again.  No draw is made once every differential meets its bound; over a
+    small GF(p) that may never happen, and then every trial runs.  With one
+    trial, where the bound could save nothing, or when d.d != 0, the bound
+    is min(rows, cols) and d.d = 0 is proved at the point, pair by pair.
+    `trials` is checked first.  The ranks are those of
+    `mat_generic_rank(d, trials, seed)` on each d alone, but for one case:
+    over QQ a prime that divides a coefficient denominator of any
+    differential is drawn again for all of them.
 
     >>> from schurcx import PolyRing, RATIONALS, koszul_complex
     >>> f = koszul_complex(PolyRing(RATIONALS, ("x", "y")).gens())
-    >>> generic_ranks(f)
-    [1, 1]
+    >>> generic_ranks(f), generic_ranks(f, trials=1)
+    ([1, 1], [1, 1])
     """
     _check_trials(trials)
     diffs = f.differentials
-    if trials == 1 or validate_complex(f):
-        return [mat_generic_rank(d, trials, seed) for d in diffs]
-    # found[i] holds the draw and pivot columns of the latest trial of
-    # d_(min_degree + i); found[0] belongs to no differential
-    found = [[None, ()] for _ in range(len(diffs) + 1)]
-    streams = [_trial_ranks(d, seed, found[i], found[i + 1])
-               for i, d in enumerate(diffs)]
-    # best[i] belongs to d_(min_degree + i); best[0] and best[-1] stay 0
+    proved = trials > 1 and not validate_complex(f)
+    # best[i] belongs to d_(min_degree + i); best[0] and best[-1] stay 0.
+    # The neighbours' ranks bound a rank only where d.d = 0 is proved.
     best = [0] * (len(diffs) + 2)
+    near = best if proved else [0] * len(best)
+    draws = _draws(f.ring, diffs, seed)
     for _ in range(trials):
-        for i, d in enumerate(diffs, 1):
-            if best[i] < min(d.rows - best[i - 1], d.cols - best[i + 1]):
-                best[i] = max(best[i], next(streams[i - 1]))
+        below = [best[i] < min(d.rows - near[i - 1], d.cols - near[i + 1])
+                 for i, d in enumerate(diffs, 1)]
+        if not any(below):
+            break
+        field, point = next(draws)
+        values = [_values_at(d.columns, point, field) if b else None
+                  for d, b in zip(diffs, below)]
+        ranks = _ranks_at_point(field, values, f.ranks, proved)
+        for i, rank in enumerate(ranks, 1):
+            best[i] = max(best[i], rank or 0)  # None: not ranked
     return best[1:-1]
 
 
@@ -201,25 +204,29 @@ def _composes_to_zero(field, lower, upper):
     return True
 
 
-def _ranks_at_point(field, values, ranks):
+def _ranks_at_point(field, values, ranks, proved=False):
     """The ranks of evaluated differentials d_1, d_2, ..., in ascending degree.
 
-    values holds the columns of each differential at one point and ranks the
-    term ranks.  The columns of d_k that raised its rank are independent, so
-    when d_k . d_(k+1) == 0 at the point, their span meets ker d_k, which
-    holds im d_(k+1), only in 0: deleting those rows from d_(k+1) keeps its
-    rank (one pair step of Gaussian elimination on a chain complex).  The
-    product is checked only where there are rows to delete; where it is not
-    zero, d_(k+1) is ranked whole.  Each elimination stops at
-    min(cols, rows left).
+    values holds the columns of each differential at one point, or None for
+    one left unranked (its rank reads None), and ranks the term ranks.  The
+    columns of d_k that raised its rank are independent, so when
+    d_k . d_(k+1) == 0 at the point, their span meets ker d_k, which holds
+    im d_(k+1), only in 0: deleting those rows from d_(k+1) keeps its rank
+    (one pair step of Gaussian elimination on a chain complex).  Unless
+    proved says d.d = 0 on the ring, the product is checked at the point,
+    only where there are rows to delete; where it is not zero, d_(k+1) is
+    ranked whole, as it is above an unranked d_k.  Each elimination stops
+    at min(cols, rows left).
     """
     out, skip = [], ()
     for i, cols in enumerate(values):
-        if skip and not _composes_to_zero(field, values[i - 1], cols):
-            skip = ()
-        raised = []
-        out.append(scalar_rank(field, cols, skip,
-                               min(ranks[i + 1], ranks[i] - len(skip)), raised))
+        rank, raised = None, []
+        if cols is not None:
+            if skip and not (proved or _composes_to_zero(field, values[i - 1], cols)):
+                skip = ()
+            rank = scalar_rank(field, cols, skip,
+                               min(ranks[i + 1], ranks[i] - len(skip)), raised)
+        out.append(rank)
         skip = set(raised)
     return out
 

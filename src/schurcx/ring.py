@@ -18,7 +18,9 @@ size estimate exceeds `MAX_VALUE_BITS` bits is refused just before it
 would be computed.  Generic ranks (`mat_generic_rank`) are Monte Carlo lower
 bounds; over the rationals each random specialization is evaluated modulo
 a random prime in [2^30, 2^31) and ranked there, since the rank mod a
-prime is at most the rank over QQ.
+prime is at most the rank over QQ.  One sequence of draws, `_draws`,
+serves a matrix and a whole complex (`complexes.generic_ranks`), which
+ranks its differentials at each draw as at a given point.
 No floating point is used anywhere.
 
     >>> R = PolyRing(RATIONALS, ("x", "y"))
@@ -42,11 +44,11 @@ _NAME = r"[^\W\d]\w*"  # a variable name: a word that does not start with a digi
 # The largest size, in bits, that one term of an exact rational value may
 # reach (8 KB); x^99999999999 at the point 2 would need 10^11 bits.
 MAX_VALUE_BITS = 1 << 16
-# The most trials `mat_generic_rank` and `complexes.generic_ranks` run on one
-# matrix.  A trial stops them early only at a proven rank (a full one, or the
-# d.d = 0 bound in `generic_ranks`), so on an unproven rank every trial runs;
-# past a few the bound hardly improves (see `mat_generic_rank`), while the
-# time grows without end.
+# The most trials, one random draw each, that `mat_generic_rank` runs on a
+# matrix and `complexes.generic_ranks` on a complex.  They stop early only at
+# proven ranks (a full one, or the d.d = 0 bound in `generic_ranks`), so on an
+# unproven rank every trial runs; past a few the bound hardly improves (see
+# `mat_generic_rank`), while the time grows without end.
 MAX_TRIALS = 100
 # The most rows or columns `mat_rank_exact` takes; Bareiss entries grow each step.
 MAX_BAREISS_DIM = 64
@@ -737,18 +739,6 @@ def random_prime(rng):
             return q
 
 
-def _values_mod_random_prime(a, point, rng):
-    """(GF(q), the rational matrix a at point evaluated mod q) for the first
-    prime q that rng draws and that divides no coefficient denominator."""
-    while True:
-        field = GF(random_prime(rng))
-        try:
-            return field, _values_at(a.columns, [field.coerce(x) for x in point],
-                                     field)
-        except ValueError:  # q divides a denominator
-            continue
-
-
 def _check_trials(trials):
     """Raise ValueError unless trials is an int in [1, MAX_TRIALS]."""
     if type(trials) is not int:  # not float, not bool
@@ -759,33 +749,26 @@ def _check_trials(trials):
         raise ValueError("trials must be at most %d, got %d" % (MAX_TRIALS, trials))
 
 
-def _trial_ranks(a, seed, below=None, found=None):
-    """The rank of a at one seeded random specialization per item, without end.
+def _draws(ring, matrices, seed):
+    """(field, point) of each seeded random draw in turn, the point's
+    coordinates in the field.
 
-    See `mat_generic_rank` for the draws: the items are its trials, in order.
-    Each elimination stops at min(rows, cols).  Given the list found, each
-    trial leaves there its draw, the pair (point, field), and the set of
-    columns that raised its rank.  In a complex with d.d = 0, with a = d_(k+1)
-    and below the found of d_k's stream, a trial at below's draw deletes
-    below's columns from the rows of a and stops at min(cols, rows left):
-    those columns of d_k are independent, so their span meets ker d_k,
-    which holds im d_(k+1), only in 0, and the rank stays.
+    See `mat_generic_rank` for a draw: a point, and over QQ a prime q, drawn
+    again while it divides a coefficient denominator of any of the matrices.
     """
     rng = random.Random(seed)
+    if ring.field.is_rational:
+        denominators = {c.denominator for m in matrices for col in m.columns
+                        for terms in col.values() for c in terms.values()}
     while True:
-        point = [rng.randint(1, 1 << 20) for _ in range(a.ring.nvars)]
-        if a.ring.field.is_rational:
-            field, values = _values_mod_random_prime(a, point, rng)
-        else:
-            field, values = a.ring.field, a.evaluate(point)
-        draw = (point, field)
-        skip = below[1] if below is not None and below[0] == draw else ()
-        raised = []
-        rank = scalar_rank(field, values, skip, min(a.cols, a.rows - len(skip)),
-                           raised)
-        if found is not None:
-            found[:] = draw, set(raised)
-        yield rank
+        point = [rng.randint(1, 1 << 20) for _ in range(ring.nvars)]
+        field = ring.field
+        if field.is_rational:
+            q = random_prime(rng)
+            while any(d % q == 0 for d in denominators):
+                q = random_prime(rng)
+            field = GF(q)
+        yield field, [field.coerce(x) for x in point]
 
 
 def mat_generic_rank(a, trials=3, seed=0):
@@ -799,8 +782,9 @@ def mat_generic_rank(a, trials=3, seed=0):
     there with modular powers, so no exact value is ever formed, and ranks
     the values over GF(q).  The trials, and the elimination in each, stop
     once the rank is min(rows, cols), which no trial can exceed; a matrix
-    alone proves no smaller rank (`complexes.generic_ranks` proves more from
-    d.d = 0).  More than MAX_TRIALS trials raises ValueError.
+    alone proves no smaller rank (`complexes.generic_ranks` makes the same
+    draws for a whole complex and proves more from d.d = 0).  More than
+    MAX_TRIALS trials raises ValueError.
 
     The result is a lower bound on the generic rank: a minor that is
     nonzero mod q is nonzero at the point, and one that is nonzero at the
@@ -814,8 +798,9 @@ def mat_generic_rank(a, trials=3, seed=0):
     _check_trials(trials)
     full = min(a.rows, a.cols)
     best = 0
-    for rank in itertools.islice(_trial_ranks(a, seed), trials):
-        best = max(best, rank)
+    for field, point in itertools.islice(_draws(a.ring, [a], seed), trials):
+        best = max(best, scalar_rank(field, _values_at(a.columns, point, field),
+                                     (), full))
         if best == full:
             break
     return best

@@ -115,7 +115,11 @@ def schur_complex(shape, f):
     standard tableau of degree k, in the canonical tableau order.  A shape
     with no standard tableau over f gives the zero complex in degree 0.
     """
-    basis = SchurBasis(shape, f)
+    return _assemble(SchurBasis(shape, f), f)
+
+
+def _assemble(basis, f):
+    """The Schur complex of f on basis, a `SchurBasis` over f."""
     ring = f.ring
     table = _entry_differential_table(f, basis)
     degrees = list(basis.degrees())

@@ -6,6 +6,7 @@ import random
 import pytest
 
 from schurcx import FreeComplex, PolyMatrix, PolyRing, RATIONALS, koszul_complex
+from schurcx.ring import random_prime
 from schurcx.tableaux import Partition, normalize_column
 
 
@@ -24,6 +25,16 @@ def partitions(r, cap=None):
     for first in range(min(r, cap), 0, -1):
         for rest in partitions(r - first, first):
             yield (first,) + rest
+
+
+def trial_primes(seed, nvars):
+    """The primes of the trials of mat_generic_rank(a, seed=seed) over QQ,
+    in order, while none divides a denominator of a."""
+    rng = random.Random(seed)
+    while True:
+        for _ in range(nvars):
+            rng.randint(1, 1 << 20)
+        yield random_prime(rng)
 
 
 def random_canonical_column(rng, length, m, n):

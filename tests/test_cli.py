@@ -17,6 +17,7 @@ from schurcx.complexes import complex_from_dict, load_complex
 from schurcx.cli import main
 import schurcx.complexes
 import schurcx.ring
+import schurcx.schur
 from schurcx.ring import MAX_TRIALS, mat_generic_rank
 from schurcx.tableaux import to_entries
 
@@ -137,6 +138,18 @@ def test_schur_repeat_runs_identical(tmp_path, capsys, koszul_file):
                      "--out", str(out)]) == 0
     capsys.readouterr()
     assert out_a.read_bytes() == out_b.read_bytes()
+
+
+def test_schur_enumerates_the_basis_once(tmp_path, capsys, monkeypatch,
+                                         koszul_file):
+    calls = []
+    real = schurcx.schur.enumerate_standard
+    monkeypatch.setattr(schurcx.schur, "enumerate_standard",
+                        lambda *args: calls.append(args) or real(*args))
+    assert main(["schur", "--complex", koszul_file, "--shape", "2,1",
+                 "--out", str(tmp_path / "s21.json")]) == 0
+    assert capsys.readouterr().out == "2 <- 5 <- 6 <- 5 <- 2\n"
+    assert len(calls) == 1
 
 
 def test_verify_ok(capsys, koszul_file):
@@ -345,6 +358,33 @@ def test_ranks_of_a_broken_complex_rank_each_differential(tmp_path, capsys):
     ]
 
 
+def test_ranks_at_one_trial_prove_d_squared_at_the_point(tmp_path, capsys,
+                                                        monkeypatch):
+    # d_1 . d_2 = x*y is not zero at the point: d_2 is ranked whole there
+    data = {
+        "ring": {"coefficients": "QQ", "variables": ["x", "y"]},
+        "min_degree": 0,
+        "ranks": [1, 1, 1],
+        "differentials": [[["x"]], [["y"]]],
+    }
+    path = tmp_path / "broken.json"
+    path.write_text(json.dumps(data))
+    proofs = []
+    real = schurcx.complexes._composes_to_zero
+    monkeypatch.setattr(schurcx.complexes, "_composes_to_zero",
+                        lambda *args: proofs.append(1) or real(*args))
+    assert main(["ranks", "--complex", str(path), "--trials", "1"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "degrees 0..2, ranks 1 1 1",
+        "rank d_1 = 1",
+        "rank d_2 = 1",
+        "h_0 = 0",
+        "h_1 = -1",
+        "h_2 = 0",
+    ]
+    assert proofs == [1]
+
+
 def test_ranks_prove_each_rank_with_one_elimination(tmp_path, capsys,
                                                     monkeypatch):
     ring = PolyRing(GF(32003), ("x", "y", "z"))
@@ -352,13 +392,13 @@ def test_ranks_prove_each_rank_with_one_elimination(tmp_path, capsys,
     path = tmp_path / "s21.json"
     save_complex(s, str(path))
     calls = []
-    real = schurcx.ring.scalar_rank
+    real = schurcx.complexes.scalar_rank
 
     def counting(field, vectors, *bounds):
         calls.append(field)
         return real(field, vectors, *bounds)
 
-    monkeypatch.setattr(schurcx.ring, "scalar_rank", counting)
+    monkeypatch.setattr(schurcx.complexes, "scalar_rank", counting)
     assert main(["ranks", "--complex", str(path)]) == 0
     assert capsys.readouterr().out.endswith("h_%d = 0\n" % s.max_degree)
     assert len(calls) == len(s.differentials) == 7

@@ -1,12 +1,14 @@
 """Bounded free complexes: validation, parity labeling, persistence."""
 
+from fractions import Fraction
+import itertools
 import json
 import random
 import re
 
 import pytest
 
-from conftest import random_three_term
+from conftest import random_three_term, trial_primes
 from schurcx import (GF, RATIONALS, FreeComplex, PolyMatrix, PolyRing,
                      homology_ranks_at_point, koszul_complex, save_complex,
                      validate_complex)
@@ -287,24 +289,28 @@ def test_generic_ranks_equal_each_differential_on_its_own():
     assert cases == 9 * (4 * 10 + 1)
 
 
-def _counting_trials(monkeypatch, plant=None):
-    """Count the trials drawn per differential; plant(d, j, rank) may change
-    what trial j (from 0) of d reads."""
+def _counting_trials(monkeypatch, f, plant=None):
+    """Count the trials in which each differential of f is ranked;
+    plant(d, j, rank) may change what trial j (from 0) of d reads."""
     drawn = {}
-    real = schurcx.complexes._trial_ranks
+    real = schurcx.complexes._ranks_at_point
 
-    def trials(d, seed, *chain):
-        for j, rank in enumerate(real(d, seed, *chain)):
-            drawn[id(d)] = j + 1
-            yield rank if plant is None else plant(d, j, rank)
+    def ranks_at_point(*args):
+        ranks = real(*args)
+        for i, (d, rank) in enumerate(zip(f.differentials, ranks)):
+            if rank is not None:
+                j = drawn.get(id(d), 0)
+                drawn[id(d)] = j + 1
+                ranks[i] = rank if plant is None else plant(d, j, rank)
+        return ranks
 
-    monkeypatch.setattr(schurcx.complexes, "_trial_ranks", trials)
+    monkeypatch.setattr(schurcx.complexes, "_ranks_at_point", ranks_at_point)
     return drawn
 
 
 def test_generic_ranks_run_every_trial_below_the_bound(monkeypatch):
     f = _stuck_complex()
-    drawn = _counting_trials(monkeypatch)
+    drawn = _counting_trials(monkeypatch, f)
     assert generic_ranks(f, 3, 0) == [0, 1]
     d1, d2 = f.differentials
     assert (drawn[id(d1)], drawn[id(d2)]) == (3, 1)
@@ -319,13 +325,14 @@ def test_generic_ranks_refuse_a_planted_low_rank(monkeypatch):
     # the first trial of one differential reads one too low: that trial is
     # below the bound, so a second one runs and finds the true rank
     drawn = _counting_trials(
-        monkeypatch, lambda d, j, rank: rank - (d is target and j == 0))
+        monkeypatch, f, lambda d, j, rank: rank - (d is target and j == 0))
     assert generic_ranks(f, 3, 0) == want
     assert [drawn[id(d)] for d in f.differentials] == [
         2 if d is target else 1 for d in f.differentials]
     # when every trial reads low, no bound is met on it: all three run, and
     # the result is the best trial, as `mat_generic_rank` would return it
-    drawn = _counting_trials(monkeypatch, lambda d, j, rank: rank - (d is target))
+    drawn = _counting_trials(monkeypatch, f,
+                             lambda d, j, rank: rank - (d is target))
     got = generic_ranks(f, 3, 0)
     assert got == want[:2] + [want[2] - 1] + want[3:]
     assert drawn[id(target)] == 3
@@ -338,9 +345,12 @@ def test_generic_ranks_fall_back_when_d_squared_is_not_zero(monkeypatch):
     f = FreeComplex(ring, 0, (1, 1, 1),
                     (PolyMatrix(ring, [[x]]), PolyMatrix(ring, [[y]])))
     assert validate_complex(f) != []
-    drawn = _counting_trials(monkeypatch)
+    skips = []
+    rank = schurcx.complexes.scalar_rank
+    monkeypatch.setattr(schurcx.complexes, "scalar_rank",
+                        lambda *args: skips.append(args[2]) or rank(*args))
     assert generic_ranks(f, 3, 0) == _each_on_its_own(f, 3, 0) == [1, 1]
-    assert drawn == {}  # each differential ran `mat_generic_rank` itself
+    assert skips == [(), ()]  # x*y is not zero at the point: d_2 ranked whole
 
 
 def test_generic_ranks_delete_rows_only_at_the_same_draw(monkeypatch):
@@ -355,10 +365,57 @@ def test_generic_ranks_delete_rows_only_at_the_same_draw(monkeypatch):
                     (PolyMatrix(ring, [[x, ring.one()]]),
                      PolyMatrix(ring, [[y], [x * y]])))
     assert validate_complex(f) == []
-    drawn = _counting_trials(monkeypatch)
+    drawn = _counting_trials(monkeypatch, f)
     assert generic_ranks(f, 2, 2) == _each_on_its_own(f, 2, 2) == [1, 1]
     d1, d2 = f.differentials
     assert (drawn[id(d1)], drawn[id(d2)]) == (1, 2)
+
+
+def test_generic_ranks_chain_at_one_trial(monkeypatch):
+    # W1 at one trial: no proof on the ring, so d.d = 0 is proved at the
+    # point and the pivot rows are deleted all the same
+    ring = PolyRing(GF(32003), ("x", "y", "z"))
+    f = schur_complex((3, 2), koszul_complex(ring.gens()))
+    entries = []
+    insert = schurcx.ring.SparseEchelon.insert
+
+    def counting(echelon, vec):
+        entries.append(len(vec))
+        return insert(echelon, vec)
+
+    monkeypatch.setattr(schurcx.ring.SparseEchelon, "insert", counting)
+    want = _each_on_its_own(f, 1, 5)
+    assert sum(entries) == 10135
+    entries.clear()
+    assert generic_ranks(f, 1, 5) == want
+    assert sum(entries) <= 2740 < 10135 / 2
+
+
+def _prime_complex(vanish, denominator):
+    """d_1 = [vanish*x, 0] and d_2 = [0; y/denominator] over QQ: d.d = 0 and
+    the generic ranks are [1, 1]."""
+    ring = PolyRing(RATIONALS, ("x", "y"))
+    x, y = ring.gens()
+    f = FreeComplex(ring, 0, (1, 2, 1),
+                    (PolyMatrix(ring, [[x * vanish, ring.zero()]]),
+                     PolyMatrix(ring, [[ring.zero()], [y * Fraction(1, denominator)]])))
+    assert validate_complex(f) == []
+    return f
+
+
+def test_generic_ranks_draw_again_for_every_differential():
+    q1, q2 = itertools.islice(trial_primes(0, 2), 2)
+    # q1 divides a denominator of d_2, so the whole complex is drawn again,
+    # where d_1 = q1*x on its own reads 0 mod q1
+    f = _prime_complex(q1, q1)
+    assert _each_on_its_own(f, 1, 0) == [0, 1]
+    assert generic_ranks(f, 1, 0) == generic_ranks(f, 3, 0) == [1, 1]
+    # d_1 = q1*q2*x reads 0 at both draws on its own, and d_2 is proven at
+    # the first; its denominator q2 still sends the second draw to another
+    # prime
+    f = _prime_complex(q1 * q2, q2)
+    assert _each_on_its_own(f, 2, 0) == [0, 1]
+    assert generic_ranks(f, 2, 0) == [1, 1]
 
 
 @pytest.mark.parametrize("trials", [0, 101, 2.5, True])

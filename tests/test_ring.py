@@ -9,7 +9,7 @@ from operator import add
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import generic_matrix_complex
+from conftest import generic_matrix_complex, trial_primes
 from schurcx import (GF, RATIONALS, PolyMatrix, PolyRing, mat_generic_rank,
                      mat_rank_exact, schur_complex)
 import schurcx.ring
@@ -289,14 +289,6 @@ def test_generic_rank_permutation_invariant(qq_xy):
     assert mat_generic_rank(a.transpose()) == base
 
 
-def _first_prime(seed, nvars):
-    """The prime of the first trial of mat_generic_rank(a, seed=seed) over QQ."""
-    rng = random.Random(seed)
-    for _ in range(nvars):
-        rng.randint(1, 1 << 20)
-    return random_prime(rng)
-
-
 def test_random_prime_range():
     rng = random.Random(3)
     for _ in range(20):
@@ -306,7 +298,7 @@ def test_random_prime_range():
 
 def test_generic_rank_coefficient_divisible_by_prime():
     ring = PolyRing(RATIONALS, ("x",))
-    q = _first_prime(0, 1)
+    q = next(trial_primes(0, 1))
     a = PolyMatrix(ring, [[ring.constant(q) * ring.variable("x")]])
     # q*x vanishes mod q: the first trial is a lower bound, a fresh q lifts it
     assert mat_generic_rank(a, trials=1) == 0
@@ -315,7 +307,7 @@ def test_generic_rank_coefficient_divisible_by_prime():
 
 def test_generic_rank_denominator_equal_to_prime():
     ring = PolyRing(RATIONALS, ("x",))
-    q = _first_prime(0, 1)
+    q = next(trial_primes(0, 1))
     a = PolyMatrix(ring, [[ring.constant(Fraction(1, q)) * ring.variable("x")]])
     assert mat_generic_rank(a, trials=1) == 1
 
