@@ -14,10 +14,9 @@ rewritten into that basis by `straighten`.
 (2, 4, 2)
 """
 
-from .ring import (GF, RATIONALS, PolyMatrix, PolyRing, mat_generic_rank,
-                   mat_rank_exact)
+from .ring import GF, RATIONALS, PolyMatrix, PolyRing, mat_rank_exact
 from .complexes import (FreeComplex, homology_ranks_at_point, koszul_complex,
-                        save_complex, validate_complex)
+                        mat_generic_rank, save_complex, validate_complex)
 from .tableaux import Tableau, enumerate_standard, straighten
 from .schur import SchurBasis, exterior_power, schur_complex, symmetric_power
 

@@ -4,14 +4,28 @@ A complex is stored as its minimum homological degree, a list of term ranks
 in ascending degree, and one polynomial matrix per adjacent pair of degrees.
 The matrix for degree k has shape rank(k-1) x rank(k): columns are indexed by
 the source basis, rows by the target basis, i.e. d sends degree k to k-1.
+
+Generic ranks are Monte Carlo lower bounds.  `generic_ranks` ranks the
+differentials at random points, over the rationals each modulo a random
+prime in [2^30, 2^31), since the rank mod a prime is at most the rank over
+QQ; at each draw it ranks them as `homology_ranks_at_point` does at its
+point.  `mat_generic_rank` is `generic_ranks` on a complex with one map.
+This module alone holds the trial policy: how a point is drawn (`_draws`),
+how many trials may run (`MAX_TRIALS`) and when they stop.
 """
 
 import itertools
 import json
+import random
 
-from .ring import (CoefficientField, PolyRing, PolyMatrix, RATIONALS,
-                   _check_trials, _coerce_point, _draws, _values_at,
-                   mat_mul, scalar_rank)
+from .ring import (GF, CoefficientField, PolyRing, PolyMatrix, RATIONALS,
+                   _coerce_point, _values_at, is_prime, mat_mul, scalar_rank)
+
+# The most trials, one random draw each, that `generic_ranks` runs.  They stop
+# early only at proven ranks (the bounds in `generic_ranks`), so on an
+# unproven rank every trial runs; past a few the bound hardly improves (see
+# `mat_generic_rank`), while the time grows without end.
+MAX_TRIALS = 100
 
 
 def _check_terms(min_degree, ranks, count):
@@ -140,15 +154,60 @@ def homology_from_ranks(f, d_ranks):
             for k in f.degrees()]
 
 
+def random_prime(rng):
+    """A prime drawn from [2^30, 2^31) with the random.Random rng."""
+    while True:
+        q = rng.randrange(1 << 30, 1 << 31)
+        if is_prime(q):
+            return q
+
+
+def _check_trials(trials):
+    """Raise ValueError unless trials is an int in [1, MAX_TRIALS]."""
+    if type(trials) is not int:  # not float, not bool
+        raise ValueError("trials must be an integer, got %r" % (trials,))
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    if trials > MAX_TRIALS:
+        raise ValueError("trials must be at most %d, got %d" % (MAX_TRIALS, trials))
+
+
+def _draws(ring, matrices, seed):
+    """(field, point) of each seeded random draw in turn, the point's
+    coordinates in the field.
+
+    A draw is a point with coordinates uniform in [1, 2^20] from an RNG
+    seeded with `seed`, so the draws are reproducible.  Over GF(p) the field
+    is the ring's.  Over QQ a prime q follows from `random_prime` with the
+    same RNG, drawn again while it divides a coefficient denominator of any
+    of the matrices, and the field is GF(q): `_values_at` then reduces the
+    point and the coefficients mod q and evaluates with modular powers, so
+    no exact value is ever formed.
+    """
+    rng = random.Random(seed)
+    if ring.field.is_rational:
+        denominators = {c.denominator for m in matrices for col in m.columns
+                        for terms in col.values() for c in terms.values()}
+    while True:
+        point = [rng.randint(1, 1 << 20) for _ in range(ring.nvars)]
+        field = ring.field
+        if field.is_rational:
+            q = random_prime(rng)
+            while any(d % q == 0 for d in denominators):
+                q = random_prime(rng)
+            field = GF(q)
+        yield field, [field.coerce(x) for x in point]
+
+
 def generic_ranks(f, trials=3, seed=0):
     """The best rank of each differential of f over seeded random draws.
 
-    A trial is one draw for the whole complex, a point and over QQ a prime
-    (see `mat_generic_rank`), at which the differentials still below their
-    bound are ranked in ascending degree by `_ranks_at_point`.  A trial rank
-    is a lower bound on the rank over the fraction field.  When d.d = 0, the
-    image of d_k lies in the kernel of d_(k-1) and holds the image of
-    d_(k+1), so, with r the best trial rank of each neighbour,
+    A trial is one draw for the whole complex (`_draws`), at which the
+    differentials still below their bound are ranked in ascending degree by
+    `_ranks_at_point`.  A trial rank is a lower bound on the rank over the
+    fraction field.  When d.d = 0, the image of d_k lies in the kernel of
+    d_(k-1) and holds the image of d_(k+1), so, with r the best trial rank
+    of each neighbour,
     rank d_k <= min(rank F_(k-1) - r_(k-1), rank F_k - r_(k+1)).  With more
     than one trial `validate_complex` proves d.d = 0 on the ring; then a
     rank that meets this bound is the generic rank, and d_k is not ranked
@@ -186,6 +245,28 @@ def generic_ranks(f, trials=3, seed=0):
         for i, rank in enumerate(ranks, 1):
             best[i] = max(best[i], rank or 0)  # None: not ranked
     return best[1:-1]
+
+
+def mat_generic_rank(a, trials=3, seed=0):
+    """Monte Carlo generic rank: the largest rank over random specializations.
+
+    This is `generic_ranks` on the complex whose one map is a, with its
+    draws and its `trials` check: a trial ranks the matrix at a random
+    point, over QQ modulo a random prime q.  The trials, and the elimination
+    in each, stop once the rank is min(rows, cols), which no trial can
+    exceed; a matrix alone proves no smaller rank.  More than MAX_TRIALS
+    trials raises ValueError.
+
+    The result is a lower bound on the generic rank: a minor that is
+    nonzero mod q is nonzero at the point, and one that is nonzero at the
+    point is a nonzero polynomial.  Over QQ the bound is reached unless
+    every trial picks a root of a nonzero maximal minor (chance at most its
+    degree over 2^20, by Schwartz-Zippel) or a q dividing its value (a value
+    of b bits has at most b/30 of the ~5*10^7 primes in the range as
+    factors).  Over a small prime field it can stay below: coordinates are
+    taken mod p, so over GF(2) `[[x^2 + x]]` ranks 0 at every point.
+    """
+    return generic_ranks(FreeComplex(a.ring, 0, a.shape, (a,)), trials, seed)[0]
 
 
 def _composes_to_zero(field, lower, upper):

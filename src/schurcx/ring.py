@@ -15,13 +15,7 @@ differentials of a complex at a point are ranked in ascending degree, each
 without the rows that the pivot columns of the one below it delete
 (`complexes.homology_ranks_at_point`).  Over the rationals a term whose
 size estimate exceeds `MAX_VALUE_BITS` bits is refused just before it
-would be computed.  Generic ranks (`mat_generic_rank`) are Monte Carlo lower
-bounds; over the rationals each random specialization is evaluated modulo
-a random prime in [2^30, 2^31) and ranked there, since the rank mod a
-prime is at most the rank over QQ.  One sequence of draws, `_draws`,
-serves a matrix and a whole complex (`complexes.generic_ranks`), which
-ranks its differentials at each draw as at a given point.
-No floating point is used anywhere.
+would be computed.  No floating point is used anywhere.
 
     >>> R = PolyRing(RATIONALS, ("x", "y"))
     >>> x, y = R.gens()
@@ -31,9 +25,7 @@ No floating point is used anywhere.
 
 from fractions import Fraction
 import heapq
-import itertools
 from operator import add, mul, sub
-import random
 import re
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -44,12 +36,6 @@ _NAME = r"[^\W\d]\w*"  # a variable name: a word that does not start with a digi
 # The largest size, in bits, that one term of an exact rational value may
 # reach (8 KB); x^99999999999 at the point 2 would need 10^11 bits.
 MAX_VALUE_BITS = 1 << 16
-# The most trials, one random draw each, that `mat_generic_rank` runs on a
-# matrix and `complexes.generic_ranks` on a complex.  They stop early only at
-# proven ranks (a full one, or the d.d = 0 bound in `generic_ranks`), so on an
-# unproven rank every trial runs; past a few the bound hardly improves (see
-# `mat_generic_rank`), while the time grows without end.
-MAX_TRIALS = 100
 # The most rows or columns `mat_rank_exact` takes; Bareiss entries grow each step.
 MAX_BAREISS_DIM = 64
 
@@ -729,81 +715,6 @@ def scalar_rank(field, vectors, skip=(), stop=None, raised=None):
         if echelon.insert(vec) and raised is not None:
             raised.append(j)
     return echelon.rank
-
-
-def random_prime(rng):
-    """A prime drawn from [2^30, 2^31) with the random.Random rng."""
-    while True:
-        q = rng.randrange(1 << 30, 1 << 31)
-        if is_prime(q):
-            return q
-
-
-def _check_trials(trials):
-    """Raise ValueError unless trials is an int in [1, MAX_TRIALS]."""
-    if type(trials) is not int:  # not float, not bool
-        raise ValueError("trials must be an integer, got %r" % (trials,))
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    if trials > MAX_TRIALS:
-        raise ValueError("trials must be at most %d, got %d" % (MAX_TRIALS, trials))
-
-
-def _draws(ring, matrices, seed):
-    """(field, point) of each seeded random draw in turn, the point's
-    coordinates in the field.
-
-    See `mat_generic_rank` for a draw: a point, and over QQ a prime q, drawn
-    again while it divides a coefficient denominator of any of the matrices.
-    """
-    rng = random.Random(seed)
-    if ring.field.is_rational:
-        denominators = {c.denominator for m in matrices for col in m.columns
-                        for terms in col.values() for c in terms.values()}
-    while True:
-        point = [rng.randint(1, 1 << 20) for _ in range(ring.nvars)]
-        field = ring.field
-        if field.is_rational:
-            q = random_prime(rng)
-            while any(d % q == 0 for d in denominators):
-                q = random_prime(rng)
-            field = GF(q)
-        yield field, [field.coerce(x) for x in point]
-
-
-def mat_generic_rank(a, trials=3, seed=0):
-    """Monte Carlo generic rank: the largest rank over random specializations.
-
-    Each trial draws a point with coordinates uniform in [1, 2^20] from an
-    RNG seeded with `seed`, so the result is reproducible.  Over GF(p) the
-    trial ranks the matrix at that point.  Over QQ it draws a fresh prime q
-    from `random_prime` with the same RNG, reduces the point and the
-    coefficients mod q (drawing again if q divides a denominator), evaluates
-    there with modular powers, so no exact value is ever formed, and ranks
-    the values over GF(q).  The trials, and the elimination in each, stop
-    once the rank is min(rows, cols), which no trial can exceed; a matrix
-    alone proves no smaller rank (`complexes.generic_ranks` makes the same
-    draws for a whole complex and proves more from d.d = 0).  More than
-    MAX_TRIALS trials raises ValueError.
-
-    The result is a lower bound on the generic rank: a minor that is
-    nonzero mod q is nonzero at the point, and one that is nonzero at the
-    point is a nonzero polynomial.  Over QQ the bound is reached unless
-    every trial picks a root of a nonzero maximal minor (chance at most its
-    degree over 2^20, by Schwartz-Zippel) or a q dividing its value (a value
-    of b bits has at most b/30 of the ~5*10^7 primes in the range as
-    factors).  Over a small prime field it can stay below: coordinates are
-    taken mod p, so over GF(2) `[[x^2 + x]]` ranks 0 at every point.
-    """
-    _check_trials(trials)
-    full = min(a.rows, a.cols)
-    best = 0
-    for field, point in itertools.islice(_draws(a.ring, [a], seed), trials):
-        best = max(best, scalar_rank(field, _values_at(a.columns, point, field),
-                                     (), full))
-        if best == full:
-            break
-    return best
 
 
 def mat_rank_exact(a):

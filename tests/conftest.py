@@ -6,7 +6,7 @@ import random
 import pytest
 
 from schurcx import FreeComplex, PolyMatrix, PolyRing, RATIONALS, koszul_complex
-from schurcx.ring import random_prime
+from schurcx.complexes import random_prime
 from schurcx.tableaux import Partition, normalize_column
 
 
@@ -28,8 +28,9 @@ def partitions(r, cap=None):
 
 
 def trial_primes(seed, nvars):
-    """The primes of the trials of mat_generic_rank(a, seed=seed) over QQ,
-    in order, while none divides a denominator of a."""
+    """The primes of the draws of generic_ranks(f, seed=seed) over QQ
+    (`complexes._draws`), in order, while none divides a denominator of f,
+    for a ring of nvars variables."""
     rng = random.Random(seed)
     while True:
         for _ in range(nvars):

@@ -1,0 +1,130 @@
+"""Planted mutants of the generic-rank code: each one must fail a test.
+
+Run from anywhere as
+
+    python tests/mutants.py
+
+pytest does not collect this file.  Each entry of MUTANTS maps a name to a
+row (file, exact text, replacement).  For each row the script copies
+`src`, `tests`, `pyproject.toml` and `README.md` into a fresh temporary
+directory, replaces the text, which must occur exactly once, and runs
+
+    python -m pytest -x -q tests/test_complexes.py tests/test_ring.py tests/test_cli.py
+
+there.  The mutant is killed when that run fails, and the script prints
+the first failing test.  The same run on the unchanged copy must pass
+first, or no kill means anything.  The script exits 1 naming every mutant
+that survives.  `tests/test_mutant_table.py`, part of the suite, checks
+that each row's text still occurs exactly once, so the table cannot rot
+unseen.
+"""
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parent.parent
+COPIED = ("src", "tests", "pyproject.toml", "README.md")
+TESTS = ("tests/test_complexes.py", "tests/test_ring.py", "tests/test_cli.py")
+COMPLEXES = "src/schurcx/complexes.py"
+
+MUTANTS = {
+    "proved ignores validate_complex": (
+        COMPLEXES,
+        "proved = trials > 1 and not validate_complex(f)",
+        "proved = trials > 1"),
+    "a rank certified one below the sandwich bound": (
+        COMPLEXES,
+        "below = [best[i] < min(d.rows - near[i - 1], d.cols - near[i + 1])",
+        "below = [best[i] < min(d.rows - near[i - 1], d.cols - near[i + 1]) - 1"),
+    "the two neighbours swapped in the bound": (
+        COMPLEXES,
+        "min(d.rows - near[i - 1], d.cols - near[i + 1])",
+        "min(d.rows - near[i + 1], d.cols - near[i - 1])"),
+    "every trial run regardless of the bound": (
+        COMPLEXES,
+        "below = [best[i] <",
+        "below = [True or best[i] <"),
+    "trials checked after the proof": (
+        COMPLEXES,
+        "    _check_trials(trials)\n"
+        "    diffs = f.differentials\n"
+        "    proved = trials > 1 and not validate_complex(f)\n",
+        "    diffs = f.differentials\n"
+        "    proved = trials > 1 and not validate_complex(f)\n"
+        "    _check_trials(trials)\n"),
+    "rows deleted without the point proof": (
+        COMPLEXES,
+        "if skip and not (proved or _composes_to_zero(",
+        "if skip and not (True or _composes_to_zero("),
+    "an unranked differential lending older pivots": (
+        COMPLEXES,
+        "        skip = set(raised)\n",
+        "        lent = _ranks_at_point.__dict__  # each d_k's last pivots\n"
+        "        skip = lent[i] = set(raised) if cols is not None else lent.get(i, set())\n"),
+    "an elimination stopped one below min(cols, rows left)": (
+        COMPLEXES,
+        "min(ranks[i + 1], ranks[i] - len(skip))",
+        "min(ranks[i + 1], ranks[i] - len(skip)) - 1"),
+    "the QQ denominator set taken from one differential only": (
+        COMPLEXES,
+        "for m in matrices for col in m.columns",
+        "for m in matrices[:1] for col in m.columns"),
+}
+
+
+def run_tests(row=None):
+    """Plant the row, if any, in a fresh copy and run the tests there;
+    returns (passed, the first failing test or '')."""
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        for name in COPIED:
+            src = REPO / name
+            if src.is_dir():
+                shutil.copytree(src, root / name, ignore=shutil.ignore_patterns(
+                    "__pycache__", ".hypothesis", ".pytest_cache"))
+            else:
+                shutil.copy2(src, root / name)
+        if row is not None:
+            path, text, replacement = row
+            target = root / path
+            source = target.read_text()
+            if source.count(text) != 1:
+                raise SystemExit("%s: the text of a row occurs %d times, not once"
+                                 % (path, source.count(text)))
+            target.write_text(source.replace(text, replacement))
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        run = subprocess.run([sys.executable, "-m", "pytest", "-x", "-q", *TESTS],
+                             cwd=root, env=env, capture_output=True, text=True)
+    failed = [line.split(" - ")[0].split(" ", 1)[1]
+              for line in run.stdout.splitlines()
+              if line.startswith(("FAILED ", "ERROR "))]
+    return run.returncode == 0, (failed or [""])[0]
+
+
+def main():
+    start = time.perf_counter()
+    passed, failure = run_tests()
+    if not passed:
+        print("the unchanged copy fails (%s): no mutant can be judged" % failure)
+        return 1
+    survivors = []
+    for name, row in MUTANTS.items():
+        passed, failure = run_tests(row)
+        if passed:
+            survivors.append(name)
+        print("%-56s %s" % (name, "SURVIVED" if passed else "killed by " + failure))
+    print("%d of %d killed in %.1f s" % (len(MUTANTS) - len(survivors), len(MUTANTS),
+                                        time.perf_counter() - start))
+    if survivors:
+        print("surviving mutants: " + "; ".join(survivors))
+        return 1
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -13,12 +13,12 @@ import pytest
 from conftest import generic_matrix_complex
 from schurcx import (RATIONALS, GF, PolyRing, koszul_complex, save_complex,
                      schur_complex)
-from schurcx.complexes import complex_from_dict, load_complex
+from schurcx.complexes import (MAX_TRIALS, complex_from_dict, load_complex,
+                               mat_generic_rank)
 from schurcx.cli import main
 import schurcx.complexes
 import schurcx.ring
 import schurcx.schur
-from schurcx.ring import MAX_TRIALS, mat_generic_rank
 from schurcx.tableaux import to_entries
 
 REPO = Path(__file__).resolve().parents[1]

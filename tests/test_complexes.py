@@ -14,10 +14,10 @@ from schurcx import (GF, RATIONALS, FreeComplex, PolyMatrix, PolyRing,
                      validate_complex)
 import schurcx.complexes
 import schurcx.ring
-from schurcx.complexes import (complex_from_dict, complex_to_dict,
+from schurcx.complexes import (_draws, complex_from_dict, complex_to_dict,
                                generic_ranks, homology_from_ranks,
                                load_complex)
-from schurcx.ring import _coerce_point, mat_generic_rank, scalar_rank
+from schurcx.ring import _coerce_point, _values_at, scalar_rank
 from schurcx.schur import SchurBasis, schur_complex
 
 
@@ -251,7 +251,19 @@ def test_random_three_term_is_complex():
 
 
 def _each_on_its_own(f, trials, seed):
-    return [mat_generic_rank(d, trials, seed) for d in f.differentials]
+    """The best rank of each differential of f ranked alone over its own
+    draws, each trial stopping at min(rows, cols): a second trial loop,
+    kept apart from the package's."""
+    out = []
+    for d in f.differentials:
+        full, best = min(d.rows, d.cols), 0
+        for field, point in itertools.islice(_draws(d.ring, [d], seed), trials):
+            values = _values_at(d.columns, point, field)
+            best = max(best, scalar_rank(field, values, (), full))
+            if best == full:
+                break
+        out.append(best)
+    return out
 
 
 def _stuck_complex():
@@ -345,11 +357,12 @@ def test_generic_ranks_fall_back_when_d_squared_is_not_zero(monkeypatch):
     f = FreeComplex(ring, 0, (1, 1, 1),
                     (PolyMatrix(ring, [[x]]), PolyMatrix(ring, [[y]])))
     assert validate_complex(f) != []
+    want = _each_on_its_own(f, 3, 0)
     skips = []
     rank = schurcx.complexes.scalar_rank
     monkeypatch.setattr(schurcx.complexes, "scalar_rank",
                         lambda *args: skips.append(args[2]) or rank(*args))
-    assert generic_ranks(f, 3, 0) == _each_on_its_own(f, 3, 0) == [1, 1]
+    assert generic_ranks(f, 3, 0) == want == [1, 1]
     assert skips == [(), ()]  # x*y is not zero at the point: d_2 ranked whole
 
 
@@ -365,8 +378,9 @@ def test_generic_ranks_delete_rows_only_at_the_same_draw(monkeypatch):
                     (PolyMatrix(ring, [[x, ring.one()]]),
                      PolyMatrix(ring, [[y], [x * y]])))
     assert validate_complex(f) == []
+    want = _each_on_its_own(f, 2, 2)
     drawn = _counting_trials(monkeypatch, f)
-    assert generic_ranks(f, 2, 2) == _each_on_its_own(f, 2, 2) == [1, 1]
+    assert generic_ranks(f, 2, 2) == want == [1, 1]
     d1, d2 = f.differentials
     assert (drawn[id(d1)], drawn[id(d2)]) == (1, 2)
 

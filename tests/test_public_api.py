@@ -1,12 +1,14 @@
 """The `schurcx` namespace exports exactly what the README documents, no
 core module imports the test oracles, only `ring` builds polynomials out of
-stored matrix entries, and assembly works on plain column tuples."""
+stored matrix entries, the trial policy of generic ranks lives in
+`complexes` alone, and assembly works on plain column tuples."""
 
 import ast
 import re
 from pathlib import Path
 
 import schurcx
+import schurcx.complexes
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 PACKAGE = Path(schurcx.__file__).resolve().parent
@@ -55,6 +57,15 @@ def test_only_ring_wraps_matrix_entries_as_polynomials():
     for name in ("schur.py", "tableaux.py", "complexes.py", "cli.py"):
         names = list(_imported_modules(ast.parse((PACKAGE / name).read_text())))
         assert not [n for n in names if n.split(".")[-1] == "Polynomial"], name
+
+
+def test_trial_policy_lives_in_complexes():
+    # `ring` is arithmetic and elimination: it draws nothing and does not
+    # reach up to the module that owns the draws and the trial loop
+    names = list(_imported_modules(ast.parse((PACKAGE / "ring.py").read_text())))
+    assert not [n for n in names if n.split(".")[0] == "random"
+                or "complexes" in n.split(".")]
+    assert schurcx.mat_generic_rank is schurcx.complexes.mat_generic_rank
 
 
 def test_assembly_keeps_tableaux_as_plain_column_tuples():

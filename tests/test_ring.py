@@ -12,10 +12,10 @@ from hypothesis import given, settings, strategies as st
 from conftest import generic_matrix_complex, trial_primes
 from schurcx import (GF, RATIONALS, PolyMatrix, PolyRing, mat_generic_rank,
                      mat_rank_exact, schur_complex)
-import schurcx.ring
+import schurcx.complexes
+from schurcx.complexes import random_prime
 from schurcx.ring import (Polynomial, exact_quotient, format_polynomial, is_prime,
-                          mat_mul, parse_polynomial,
-                          random_prime, reduce_terms, scalar_rank)
+                          mat_mul, parse_polynomial, reduce_terms, scalar_rank)
 
 
 @pytest.fixture
@@ -320,8 +320,8 @@ def test_generic_rank_small_field_stays_below():
 
 def test_generic_rank_stops_at_full_rank(monkeypatch, qq_xy):
     calls = []
-    rank = schurcx.ring.scalar_rank
-    monkeypatch.setattr(schurcx.ring, "scalar_rank",
+    rank = schurcx.complexes.scalar_rank
+    monkeypatch.setattr(schurcx.complexes, "scalar_rank",
                         lambda *args: calls.append(1) or rank(*args))
     x, y = qq_xy.gens()
     assert mat_generic_rank(PolyMatrix(qq_xy, [[x, y], [y, x]]), trials=3) == 2
