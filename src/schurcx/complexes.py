@@ -27,6 +27,10 @@ from .ring import (GF, CoefficientField, PolyRing, PolyMatrix, RATIONALS,
 # `mat_generic_rank`), while the time grows without end.
 MAX_TRIALS = 100
 
+# The largest term rank a complex file may claim.  A matrix holds one column
+# per source basis element, and no array of the file need back the count.
+MAX_FILE_RANK = 1 << 20
+
 
 def _check_terms(min_degree, ranks, count):
     """Raise unless the degrees and ranks fit a complex with count maps."""
@@ -372,6 +376,10 @@ def complex_from_dict(data):
     ranks = _array(data["ranks"], "ranks")
     differentials = _array(data["differentials"], "differentials")
     _check_terms(data["min_degree"], ranks, len(differentials))
+    for i, r in enumerate(ranks):
+        if r > MAX_FILE_RANK:
+            raise ValueError("rank %d in degree %d exceeds %d"
+                             % (r, data["min_degree"] + i, MAX_FILE_RANK))
     diffs = []
     for i, rows in enumerate(differentials):
         rows = [_array(r, "a row") for r in _array(rows, "a differential")]

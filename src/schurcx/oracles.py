@@ -5,19 +5,15 @@
 whose image is the Schur module and whose kernel is the span of the
 exchange relations: a straightened tableau must have the image of the
 tableau, standard tableaux independent images, and `row_derivation` of an
-image must be the image of d.  It is built from the definition alone, calls
-nothing in `schurcx.tableaux`, and has no size guard; its cost grows with
-the product of the column heights' factorials, not with the number of
-fillings.  `is_standard` decides standardness from its definition.
-`straighten_whole_tableau` is the reference straightener: it rebuilds the
-relation of the whole tableau at each step instead of looking it up by a
-pair of columns.  No core module imports this one.
+image must be the image of d.  It is built from the definition alone and
+has no size guard; its cost grows with the product of the column heights'
+factorials, not with the number of fillings.  `is_standard` decides
+standardness from its definition.  This module imports no module of the
+package, and no core module imports it.
 """
 
 import itertools
 from math import prod
-
-from .tableaux import normalize_column, theta_image
 
 
 def column_basis(length, m, n):
@@ -118,8 +114,7 @@ def abw_image(columns):
     expands by `tensor_embed`, the words are concatenated in column order,
     the letters move into row-reading order with -1 per pair of odd letters
     that cross, and each row is sorted by `_row_sort`.  Returns {tuple of
-    sorted rows: integer coefficient}.  It calls nothing in
-    `schurcx.tableaux`.
+    sorted rows: integer coefficient}.
 
     >>> abw_image(((1,), (2,)))    # even letters commute along a row
     {((1, 2),): 1}
@@ -177,7 +172,7 @@ def row_derivation(image, d):
     return out
 
 
-# -- whole-tableau straightening ---------------------------------------------
+# -- standardness ------------------------------------------------------------
 
 def _first_violation(columns):
     """(column index, row) of the topmost, leftmost row violation, or None.
@@ -204,43 +199,3 @@ def is_standard(t):
     """
     return (all(a < b or a == b < 0 for col in t for a, b in zip(col, col[1:]))
             and _first_violation(t) is None)
-
-
-def straighten_whole_tableau(columns):
-    """Straighten a tableau given by its columns, one whole relation at a time.
-
-    Returns ((standard columns, coefficient), ...) sorted, as
-    `tableaux._straighten_columns` does, but takes any columns and
-    normalizes them first.  At each step it finds the topmost, leftmost row
-    violation, splits the two columns there, and expands the relation with
-    `theta_image` over the whole tableau.  It never calls `_exchange`.
-    """
-    sign = 1
-    canon = []
-    for col in columns:
-        norm = normalize_column(col)
-        if norm is None:
-            return ()
-        canon.append(norm[0])
-        sign *= norm[1]
-    result = {}
-    pending = {tuple(canon): sign}
-    while pending:
-        t, coeff = pending.popitem()
-        found = _first_violation(t)
-        if found is None:
-            _add(result, t, coeff)
-            continue
-        a, row = found
-        left, right = t[a - 1], t[a]
-        split = row + 1
-        while split < len(right) and right[split] <= right[row]:
-            split += 1
-        middle, _ = normalize_column(left[row:] + right[:split])
-        relation = {t[:a - 1] + pair + t[a + 1:]: k for pair, k in theta_image(
-            left[:row], middle, right[split:], len(left), len(right)).items()}
-        lead = relation.pop(t)
-        assert lead in (1, -1)
-        for other, k in relation.items():
-            _add(pending, other, -coeff * lead * k)
-    return tuple(sorted(result.items()))

@@ -1,22 +1,30 @@
-"""Planted mutants of the generic-rank code: each one must fail a test.
+"""Planted mutants of the generic-rank and straightening code: each one
+must fail a test.
 
 Run from anywhere as
 
     python tests/mutants.py
 
-pytest does not collect this file.  Each entry of MUTANTS maps a name to a
-row (file, exact text, replacement).  For each row the script copies
-`src`, `tests`, `pyproject.toml` and `README.md` into a fresh temporary
-directory, replaces the text, which must occur exactly once, and runs
+pytest does not collect this file.  Each entry of RANKING and STRAIGHTENING
+maps a name to a row (file, exact text, replacement); MUTANTS holds both.
+For each row the script copies `src`, `tests`, `pyproject.toml` and
+`README.md` into a fresh temporary directory, replaces the text, which must
+occur exactly once, and runs `python -m pytest -x -q` there on the row's
+test files: for a ranking row
 
-    python -m pytest -x -q tests/test_complexes.py tests/test_ring.py tests/test_cli.py
+    tests/test_complexes.py tests/test_ring.py tests/test_cli.py
 
-there.  The mutant is killed when that run fails, and the script prints
-the first failing test.  The same run on the unchanged copy must pass
-first, or no kill means anything.  The script exits 1 naming every mutant
-that survives.  `tests/test_mutant_table.py`, part of the suite, checks
-that each row's text still occurs exactly once, so the table cannot rot
-unseen.
+and for a straightening row only the oracle tests
+
+    tests/test_abw.py tests/test_exchange.py
+
+so that the kill recorded is the oracles' own, not that of a golden test
+that happens to run first.  The mutant is killed when that run fails, and
+the script prints the first failing test.  The same runs on the unchanged
+copy must pass first, or no kill means anything.  The script exits 1
+naming every mutant that survives.  `tests/test_mutant_table.py`, part of
+the suite, checks that each row's text still occurs exactly once, so the
+table cannot rot unseen.
 """
 
 import os
@@ -29,10 +37,13 @@ from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
 COPIED = ("src", "tests", "pyproject.toml", "README.md")
-TESTS = ("tests/test_complexes.py", "tests/test_ring.py", "tests/test_cli.py")
+RANKING_TESTS = ("tests/test_complexes.py", "tests/test_ring.py",
+                 "tests/test_cli.py")
+ORACLE_TESTS = ("tests/test_abw.py", "tests/test_exchange.py")
 COMPLEXES = "src/schurcx/complexes.py"
+TABLEAUX = "src/schurcx/tableaux.py"
 
-MUTANTS = {
+RANKING = {
     "proved ignores validate_complex": (
         COMPLEXES,
         "proved = trials > 1 and not validate_complex(f)",
@@ -76,9 +87,44 @@ MUTANTS = {
         "for m in matrices[:1] for col in m.columns"),
 }
 
+STRAIGHTENING = {
+    "exchange terms negated when a column has 3 or more letters": (
+        TABLEAUX,
+        "return tuple((other, lead * k) for other, k in relation.items())",
+        "return tuple((other, lead * (-k if len(left) >= 3 else k))"
+        " for other, k in relation.items())"),
+    "no binomial in column_product": (
+        TABLEAUX,
+        "coeff *= comb(x.count(v) + b, b)",
+        "coeff *= 1"),
+    "wedge_coproduct sign forced to 1": (
+        TABLEAUX,
+        "out[left, right] = _signed_sort(left + right)[1]",
+        "out[left, right] = 1"),
+    "the signed-sort swap sign": (
+        TABLEAUX,
+        "if x > 0 or y > 0:",
+        "if x > 0 and y > 0:"),
+    "a row violation read as x >= y": (
+        TABLEAUX,
+        "x > y or (x == y and x < 0)",
+        "x >= y"),
+    "enumerate_standard dropping its last tableau": (
+        TABLEAUX,
+        "    return chains",
+        "    return chains[:-1]"),
+    "sign = 1 in the Schur differential": (
+        "src/schurcx/schur.py",
+        "sign = -1 if odd else 1",
+        "sign = 1"),
+}
 
-def run_tests(row=None):
-    """Plant the row, if any, in a fresh copy and run the tests there;
+MUTANTS = {**RANKING, **STRAIGHTENING}
+TABLES = ((RANKING, RANKING_TESTS), (STRAIGHTENING, ORACLE_TESTS))
+
+
+def run_tests(tests, row=None):
+    """Plant the row, if any, in a fresh copy and run the test files there;
     returns (passed, the first failing test or '')."""
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
@@ -98,7 +144,7 @@ def run_tests(row=None):
                                  % (path, source.count(text)))
             target.write_text(source.replace(text, replacement))
         env = dict(os.environ, PYTHONPATH=str(root / "src"))
-        run = subprocess.run([sys.executable, "-m", "pytest", "-x", "-q", *TESTS],
+        run = subprocess.run([sys.executable, "-m", "pytest", "-x", "-q", *tests],
                              cwd=root, env=env, capture_output=True, text=True)
     failed = [line.split(" - ")[0].split(" ", 1)[1]
               for line in run.stdout.splitlines()
@@ -108,16 +154,17 @@ def run_tests(row=None):
 
 def main():
     start = time.perf_counter()
-    passed, failure = run_tests()
+    passed, failure = run_tests(RANKING_TESTS + ORACLE_TESTS)
     if not passed:
         print("the unchanged copy fails (%s): no mutant can be judged" % failure)
         return 1
     survivors = []
-    for name, row in MUTANTS.items():
-        passed, failure = run_tests(row)
-        if passed:
-            survivors.append(name)
-        print("%-56s %s" % (name, "SURVIVED" if passed else "killed by " + failure))
+    for table, tests in TABLES:
+        for name, row in table.items():
+            passed, failure = run_tests(tests, row)
+            if passed:
+                survivors.append(name)
+            print("%-60s %s" % (name, "SURVIVED" if passed else "killed by " + failure))
     print("%d of %d killed in %.1f s" % (len(MUTANTS) - len(survivors), len(MUTANTS),
                                         time.perf_counter() - start))
     if survivors:

@@ -10,15 +10,17 @@ shape.
 
 import itertools
 import random
+from math import prod
 
 import pytest
 
 from conftest import partitions, random_canonical_column
 from schurcx import (GF, RATIONALS, PolyRing, SchurBasis, enumerate_standard,
                      koszul_complex, schur_complex, straighten)
-from schurcx.oracles import _add, abw_image, column_basis, row_derivation
+from schurcx.oracles import (_add, abw_image, column_basis, is_standard,
+                             row_derivation)
 from schurcx.ring import SparseEchelon, scalar_rank
-from schurcx.tableaux import Partition, _exchange
+from schurcx.tableaux import Partition, _exchange, normalize_column
 
 FIELDS = [RATIONALS, GF(2), GF(3)]
 
@@ -51,6 +53,38 @@ def test_straightening_keeps_the_abw_image():
             assert _image_of(straighten(t)) == images[-1], t
     # a zero image (an odd letter twice in one row) checks less
     assert (len(images), sum(map(bool, images))) == (192, 159)
+
+
+def test_every_small_filling_straightens_to_standard_with_its_image():
+    # every filling of at most 5 boxes over at most 3 letters.  The standard
+    # images are independent there (below), so only one combination of
+    # standard tableaux has the filling's image.  `abw_image` expands a
+    # column as sorted, so the image is taken of the canonical columns
+    # times the product of their signs.
+    cases = nonzero = 0
+    for letters in range(1, 4):
+        for m in range(letters + 1):
+            values = list(range(-m, 0)) + list(range(1, letters - m + 1))
+            for size in range(1, 6):
+                for shape in partitions(size):
+                    lengths = Partition(shape).column_lengths()
+                    for word in itertools.product(values, repeat=size):
+                        it = iter(word)
+                        t = tuple(tuple(next(it) for _ in range(c))
+                                  for c in lengths)
+                        cases += 1
+                        result = straighten(t)
+                        norms = [normalize_column(col) for col in t]
+                        if None in norms:
+                            assert result == {}, t
+                            continue
+                        assert all(map(is_standard, result)), t
+                        sign = prod(s for _, s in norms)
+                        want = abw_image(tuple(col for col, _ in norms))
+                        assert _image_of(result) == {
+                            rows: sign * c for rows, c in want.items()}, t
+                        nonzero += bool(want)
+    assert (cases, nonzero) == (9882, 4227)
 
 
 def test_every_exchange_relation_lies_in_the_kernel():

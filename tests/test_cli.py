@@ -2,6 +2,7 @@
 
 import json
 import os
+import resource
 import stat
 import subprocess
 import sys
@@ -639,6 +640,27 @@ def test_tableau_file_with_a_huge_shape_is_invalid(tmp_path):
         capture_output=True, text=True, env=_src_env(), timeout=2.0)
     assert proc.returncode == 3, proc.stderr
     assert "1 records for a shape of %d boxes" % (2 ** 70 + 1) in proc.stderr
+
+
+@pytest.mark.parametrize("argv", [["verify"], ["ranks"], ["homology", "--point", "1"]])
+def test_complex_file_claiming_a_huge_rank_is_invalid(tmp_path, argv):
+    # 10^9 columns that no array of the file backs: refused before any
+    # matrix is built.  Run in a subprocess under a 1 GiB address-space
+    # limit and a time limit, so that building them fails the test instead
+    # of filling memory.
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"ring": {"coefficients": "QQ", "variables": ["x"]},
+                                "min_degree": 0, "ranks": [0, 10 ** 9],
+                                "differentials": [[]]}))
+    limit = 1 << 30
+    proc = subprocess.run(
+        [sys.executable, "-m", "schurcx.cli", argv[0], "--complex", str(path)]
+        + argv[1:], capture_output=True, text=True, env=_src_env(), timeout=5.0,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr == ("invalid complex in %s: rank 1000000000 in degree 1"
+                           " exceeds 1048576\n" % path)
 
 
 def test_extra_differential_is_invalid(tmp_path, capsys, koszul_file):

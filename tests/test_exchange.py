@@ -1,18 +1,12 @@
 """Straightening through exchange relations looked up by column pair."""
 
-import itertools
-from functools import lru_cache
-
 import pytest
 
-from conftest import partitions
 from schurcx import GF, PolyRing, Tableau, koszul_complex, schur_complex, straighten
-import schurcx.schur
-from schurcx import oracles, tableaux
-from schurcx.oracles import (_first_violation, column_basis,
-                             straighten_whole_tableau)
-from schurcx.tableaux import (Partition, _exchange, column_product,
-                              normalize_column, theta_image, wedge_coproduct)
+from schurcx import tableaux
+from schurcx.oracles import _first_violation, column_basis
+from schurcx.tableaux import (_exchange, column_product, normalize_column,
+                              theta_image, wedge_coproduct)
 
 
 def _clear_caches():
@@ -42,15 +36,15 @@ def _w1():
     return f, (3, 2)
 
 
-def _counting_theta_image(module, monkeypatch):
-    """Count the calls to `theta_image` made through module's global name."""
+def _counting_theta_image(monkeypatch):
+    """Count the calls to `theta_image` made inside `schurcx.tableaux`."""
     calls = []
 
     def counting(*args):
         calls.append(args)
         return theta_image(*args)
 
-    monkeypatch.setattr(module, "theta_image", counting)
+    monkeypatch.setattr(tableaux, "theta_image", counting)
     return calls
 
 
@@ -83,7 +77,7 @@ def test_straightening_finds_violations_through_exchange_only(cold, monkeypatch)
 
     f, shape = _w1()
     monkeypatch.setattr(tableaux, "_exchange", counting)
-    expanded = _counting_theta_image(tableaux, monkeypatch)
+    expanded = _counting_theta_image(monkeypatch)
     schur_complex(shape, f)
     assert exchange.cache_info().currsize == len(set(calls)) == 981
     # one relation per violating pair, each built inside `_exchange`
@@ -91,42 +85,12 @@ def test_straightening_finds_violations_through_exchange_only(cold, monkeypatch)
                                 for pair in set(calls)) == 549
 
 
-def test_straighten_matches_whole_tableau_relations():
-    cases = 0
-    for letters in range(1, 4):
-        for m in range(letters + 1):
-            values = list(range(-m, 0)) + list(range(1, letters - m + 1))
-            for size in range(1, 6):
-                for shape in partitions(size):
-                    lengths = Partition(shape).column_lengths()
-                    for word in itertools.product(values, repeat=size):
-                        it = iter(word)
-                        columns = tuple(tuple(next(it) for _ in range(c))
-                                        for c in lengths)
-                        assert straighten(Tableau(columns)) == {
-                            Tableau(cols): c
-                            for cols, c in straighten_whole_tableau(columns)}
-                        cases += 1
-    assert cases == 9882
-
-
 def test_w1_expands_each_column_pair_once(cold, monkeypatch):
     f, shape = _w1()
-    expanded = _counting_theta_image(tableaux, monkeypatch)
-    s = schur_complex(shape, f)
+    expanded = _counting_theta_image(monkeypatch)
+    schur_complex(shape, f)
     assert len(expanded) == 549
     assert len(set(expanded)) == 549
-
-    _clear_caches()
-    expanded.clear()
-    whole = _counting_theta_image(oracles, monkeypatch)
-    monkeypatch.setattr(schurcx.schur, "_straighten_columns",
-                        lru_cache(maxsize=None)(straighten_whole_tableau))
-    old = schur_complex(shape, f)
-    assert not expanded
-    assert len(whole) == 4884
-    assert old.ranks == s.ranks
-    assert old.differentials == s.differentials
 
 
 def test_straighten_normalizes_before_the_cache(cold):

@@ -1,7 +1,8 @@
 """The `schurcx` namespace exports exactly what the README documents, no
-core module imports the test oracles, only `ring` builds polynomials out of
-stored matrix entries, the trial policy of generic ranks lives in
-`complexes` alone, and assembly works on plain column tuples."""
+core module imports the test oracles and the oracles import no module of
+the package, only `ring` builds polynomials out of stored matrix entries,
+the trial policy of generic ranks lives in `complexes` alone, and assembly
+works on plain column tuples."""
 
 import ast
 import re
@@ -50,6 +51,12 @@ def test_no_core_module_imports_the_oracles():
         names = list(_imported_modules(ast.parse(path.read_text())))
         assert not [n for n in names if "oracles" in n.split(".")], path.name
 
+
+def test_the_oracles_import_no_module_of_the_package():
+    # an oracle that shares a helper with the core cannot see a fault in it
+    names = list(_imported_modules(ast.parse((PACKAGE / "oracles.py").read_text())))
+    assert names
+    assert not [n for n in names if n.startswith(".") or n.split(".")[0] == "schurcx"]
 
 def test_only_ring_wraps_matrix_entries_as_polynomials():
     # a stored matrix entry is a term map; the modules that assemble or read
