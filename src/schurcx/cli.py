@@ -187,8 +187,8 @@ def cmd_ranks(args):
 
 
 def cmd_homology(args):
-    f = _load(args.complex, "complex", complex_from_dict)
     point = _parse_point(args.point)
+    f = _load(args.complex, "complex", complex_from_dict)
     for k, h in zip(f.degrees(), homology_ranks_at_point(f, point)):
         print("h_%d = %d" % (k, h))
     return OK

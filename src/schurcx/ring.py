@@ -13,9 +13,14 @@ and Bareiss uses `add_product`, `reduce_terms` and `exact_quotient`.
 Ranks at a given point are exact, by one elimination, `scalar_rank`; the
 differentials of a complex at a point are ranked in ascending degree, each
 without the rows that the pivot columns of the one below it delete
-(`complexes.homology_ranks_at_point`).  Over the rationals a term whose
-size estimate exceeds `MAX_VALUE_BITS` bits is refused just before it
-would be computed.  No floating point is used anywhere.
+(`complexes.homology_ranks_at_point`).  Both eliminations, `scalar_rank` and
+Bareiss, take columns in matrix order and pivot on the largest row.  In
+the canonical order of a Schur differential a column's largest row often
+lies above those of all earlier columns and its smallest row almost never
+below theirs, so this rule keeps the stored rows, and Bareiss entries,
+smaller than pivoting on the smallest row.  Over the rationals a term
+whose size estimate exceeds `MAX_VALUE_BITS` bits is refused just before
+it would be computed.  No floating point is used anywhere.
 
     >>> R = PolyRing(RATIONALS, ("x", "y"))
     >>> x, y = R.gens()
@@ -23,8 +28,8 @@ would be computed.  No floating point is used anywhere.
     'x^2 - y^2'
 """
 
+from bisect import insort
 from fractions import Fraction
-import heapq
 from operator import add, mul, sub
 import re
 
@@ -633,7 +638,7 @@ class SparseEchelon:
     """Incremental row echelon form over a CoefficientField.
 
     Vectors and rows are dicts {column: scalar} over any ordered column keys.
-    Each stored row has its smallest column as pivot, scaled to one, and is
+    Each stored row has its largest column as pivot, scaled to one, and is
     kept under that pivot; no two rows share a pivot.
     """
 
@@ -648,15 +653,17 @@ class SparseEchelon:
     def reduce(self, vec):
         """Residual of a vector modulo the rows: a new dict with no zeros.
 
-        Pivots are cleared in ascending column order; every column left in
-        the residual has no row.
+        The vector's columns are read in one descending pass, and each one
+        with a row is cleared.  A row holds no column above its pivot, so
+        clearing adds only smaller columns, which join the pass in order.
+        Every column left in the residual has no row.
         """
         p = self.field.p
         rows = self.rows
         vec = {k: c for k, c in vec.items() if c}
         todo = sorted(vec)
         while todo:
-            piv = heapq.heappop(todo)
+            piv = todo.pop()
             row = rows.get(piv)
             c = vec.get(piv)
             if row is None or c is None:
@@ -672,7 +679,7 @@ class SparseEchelon:
                 if s:
                     vec[k] = s
                     if old is None:
-                        heapq.heappush(todo, k)
+                        insort(todo, k)
                 elif old is not None:
                     del vec[k]
         return vec
@@ -682,7 +689,7 @@ class SparseEchelon:
         res = self.reduce(vec)
         if not res:
             return False
-        piv = min(res)
+        piv = max(res)
         inv = self.field.invert(res[piv])
         self.rows[piv] = {k: self.field.coerce(c * inv) for k, c in res.items()}
         return True
@@ -695,9 +702,11 @@ def scalar_rank(field, vectors, skip=(), stop=None, raised=None):
     column span is the rank of the matrix.  The indices in skip are dropped
     from every vector, which ranks the matrix with those rows deleted.  The
     elimination ends once the rank reaches stop, a bound the caller has
-    proved, and reads no vector after that.  When raised is a list, the
-    position of each vector that raised the rank is appended to it: those
-    vectors are independent, and span as much as all the vectors read.
+    proved, and reads no vector after that.  The vectors go into one
+    `SparseEchelon` in their order, so each pivots on its largest index
+    left.  When raised is a list, the position of each vector that raised
+    the rank is appended to it: those vectors are independent, and span as
+    much as all the vectors read.
 
     >>> scalar_rank(GF(5), [{0: 1, 1: 2}, {0: 2, 1: 4}, {1: 1}, {0: 3}])
     2
@@ -720,8 +729,8 @@ def scalar_rank(field, vectors, skip=(), stop=None, raised=None):
 def mat_rank_exact(a):
     """Symbolic rank by fraction-free (Bareiss) elimination on the stored columns.
 
-    Each column is read as {row: term map}.  A step takes the last column
-    and its lowest stored row as pivot, drops that column, and replaces every
+    Each column is read as {row: term map}.  A step takes the first column
+    and its largest stored row as pivot, drops that column, and replaces every
     other column c by (piv * c - c[row] * column) / prev, where prev is the
     previous pivot: the division is exact (Bareiss, Math. Comp. 1968), and
     an entry zero in both columns is never stored.  Entry growth makes this
@@ -735,8 +744,8 @@ def mat_rank_exact(a):
     prev = {(0,) * a.ring.nvars: 1}
     rank = 0
     while cols:
-        column = cols.pop()
-        row = min(column)
+        column = cols.pop(0)
+        row = max(column)
         piv = column.pop(row)
         rest = []
         for col in cols:

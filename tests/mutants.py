@@ -20,11 +20,14 @@ and for a straightening row only the oracle tests
 
 so that the kill recorded is the oracles' own, not that of a golden test
 that happens to run first.  The mutant is killed when that run fails, and
-the script prints the first failing test.  The same runs on the unchanged
-copy must pass first, or no kill means anything.  The script exits 1
-naming every mutant that survives.  `tests/test_mutant_table.py`, part of
-the suite, checks that each row's text still occurs exactly once, so the
-table cannot rot unseen.
+the script prints the first failing test.  A run still going after
+LIMIT_S seconds is stopped and fails too: on the unchanged copy each run
+takes seconds, and a mutant may blow up the work of an elimination without
+making any rank wrong.  The same runs on the unchanged copy must pass
+first, or no kill means anything.  The script exits 1 naming every mutant
+that survives.  `tests/test_mutant_table.py`, part of the suite, checks
+that each row's text still occurs exactly once, so the table cannot rot
+unseen.
 """
 
 import os
@@ -40,7 +43,9 @@ COPIED = ("src", "tests", "pyproject.toml", "README.md")
 RANKING_TESTS = ("tests/test_complexes.py", "tests/test_ring.py",
                  "tests/test_cli.py")
 ORACLE_TESTS = ("tests/test_abw.py", "tests/test_exchange.py")
+LIMIT_S = 120
 COMPLEXES = "src/schurcx/complexes.py"
+RING = "src/schurcx/ring.py"
 TABLEAUX = "src/schurcx/tableaux.py"
 
 RANKING = {
@@ -85,6 +90,14 @@ RANKING = {
         COMPLEXES,
         "for m in matrices for col in m.columns",
         "for m in matrices[:1] for col in m.columns"),
+    "a row kept under its smallest key while reduce walks down": (
+        RING,
+        "piv = max(res)",
+        "piv = min(res)"),
+    "the top pivot skipped when it is the vector's largest key": (
+        RING,
+        "todo = sorted(vec)",
+        "todo = sorted(vec)[:-1]"),
 }
 
 STRAIGHTENING = {
@@ -144,8 +157,12 @@ def run_tests(tests, row=None):
                                  % (path, source.count(text)))
             target.write_text(source.replace(text, replacement))
         env = dict(os.environ, PYTHONPATH=str(root / "src"))
-        run = subprocess.run([sys.executable, "-m", "pytest", "-x", "-q", *tests],
-                             cwd=root, env=env, capture_output=True, text=True)
+        try:
+            run = subprocess.run([sys.executable, "-m", "pytest", "-x", "-q", *tests],
+                                 cwd=root, env=env, capture_output=True, text=True,
+                                 timeout=LIMIT_S)
+        except subprocess.TimeoutExpired:
+            return False, "the %d s time limit" % LIMIT_S
     failed = [line.split(" - ")[0].split(" ", 1)[1]
               for line in run.stdout.splitlines()
               if line.startswith(("FAILED ", "ERROR "))]

@@ -880,6 +880,15 @@ def test_bad_coordinate_is_parse_error(capsys, koszul_file):
     assert "bad coordinate" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("point, bad", [("1,x", "'x'"), ("1/0,2", "'1/0'"),
+                                        ("1, 2/x", "'2/x'")])
+def test_bad_coordinate_is_checked_before_the_complex(tmp_path, capsys, point, bad):
+    # the point is checked before the complex: this file is not even read
+    missing = str(tmp_path / "missing.json")
+    assert main(["homology", "--complex", missing, "--point", point]) == 2
+    assert capsys.readouterr().err == "bad coordinate %s\n" % bad
+
+
 def test_internal_check_guards_output(tmp_path, capsys, koszul_file,
                                       monkeypatch):
     import schurcx.cli as cli_mod
