@@ -9,7 +9,8 @@ arithmetic reduces its sums mod p and drops their zeros in one place,
 `reduce_terms`.  A matrix stores each nonzero entry as its term map, read
 back as a `Polynomial`.  Matrix products and Bareiss elimination work on
 the stored columns: `mat_mul` groups each column's scalars by monomial,
-and Bareiss uses `add_product`, `reduce_terms` and `exact_quotient`.
+and a Bareiss step updates only the columns that meet its pivot row, each
+divided by the pivot it last saw (`add_product`, `exact_quotient`).
 Ranks at a given point are exact, by one elimination, `scalar_rank`; the
 differentials of a complex at a point are ranked in ascending degree, each
 without the rows that the pivot columns of the one below it delete
@@ -729,36 +730,34 @@ def scalar_rank(field, vectors, skip=(), stop=None, raised=None):
 def mat_rank_exact(a):
     """Symbolic rank by fraction-free (Bareiss) elimination on the stored columns.
 
-    Each column is read as {row: term map}.  A step takes the first column
-    and its largest stored row as pivot, drops that column, and replaces every
-    other column c by (piv * c - c[row] * column) / prev, where prev is the
-    previous pivot: the division is exact (Bareiss, Math. Comp. 1968), and
-    an entry zero in both columns is never stored.  Entry growth makes this
-    expensive on large matrices, so a matrix with more than MAX_BAREISS_DIM
-    rows or columns raises ValueError.
+    Each column is {row: term map} with base, the pivot it was last divided
+    by (at first 1).  A step takes the first column, as column * prev / base,
+    and its largest row as pivot piv.  A column c that meets that row becomes
+    (piv * c - c[row] * column) / base, with base piv; the rest are kept.  A
+    column that skipped steps a+1..b is the Bareiss column times piv_b/piv_a,
+    so each division is exact (Bareiss, Math. Comp. 1968) and the pivots are
+    Bareiss's.  More than MAX_BAREISS_DIM rows or columns raises ValueError.
     """
     if max(a.rows, a.cols) > MAX_BAREISS_DIM:
         raise ValueError("matrix exceeds Bareiss size guard (%d)" % MAX_BAREISS_DIM)
     field = a.ring.field
-    cols = [dict(col) for col in a.columns if col]
     prev = {(0,) * a.ring.nvars: 1}
+    cols = [(dict(col), prev) for col in a.columns if col]
     rank = 0
     while cols:
-        column = cols.pop(0)
+        column, base = cols.pop(0)
+        if base is not prev:
+            column = {i: exact_quotient(field, reduce_terms(
+                field, add_product({}, t, prev)), base) for i, t in column.items()}
         row = max(column)
         piv = column.pop(row)
-        rest = []
-        for col in cols:
-            neg = {e: -c for e, c in col.pop(row, {}).items()}
-            out = {}
-            for i in col.keys() | column.keys():
-                acc = add_product({}, piv, col.get(i, {}))
-                add_product(acc, neg, column.get(i, {}))
-                terms = reduce_terms(field, acc)
-                if terms:
-                    out[i] = exact_quotient(field, terms, prev)
-            if out:
-                rest.append(out)
-        cols, prev = rest, piv
+        for j, (col, base) in enumerate(cols):
+            if row in col:
+                neg = {e: -c for e, c in col.pop(row).items()}
+                sums = ((i, reduce_terms(field, add_product(add_product(
+                    {}, piv, col.get(i, {})), neg, column.get(i, {}))))
+                    for i in col.keys() | column.keys())
+                cols[j] = {i: exact_quotient(field, t, base) for i, t in sums if t}, piv
+        cols, prev = [c for c in cols if c[0]], piv
         rank += 1
     return rank

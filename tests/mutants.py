@@ -1,5 +1,5 @@
-"""Planted mutants of the generic-rank and straightening code: each one
-must fail a test.
+"""Planted mutants of the rank code (generic ranks and Bareiss) and the
+straightening code: each one must fail a test.
 
 Run from anywhere as
 
@@ -25,13 +25,15 @@ LIMIT_S seconds is stopped and fails too: on the unchanged copy each run
 takes seconds, and a mutant may blow up the work of an elimination without
 making any rank wrong.  The same runs on the unchanged copy must pass
 first, or no kill means anything.  The script exits 1 naming every mutant
-that survives.  `tests/test_mutant_table.py`, part of the suite, checks
-that each row's text still occurs exactly once, so the table cannot rot
-unseen.
+that survives.  SIGTERM ends the script as an exit does, so a stopped run
+removes its copy and stops its pytest, as on SIGINT.
+`tests/test_mutant_table.py`, part of the suite, checks that each row's
+text still occurs exactly once, so the table cannot rot unseen.
 """
 
 import os
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -98,6 +100,18 @@ RANKING = {
         RING,
         "todo = sorted(vec)",
         "todo = sorted(vec)[:-1]"),
+    "a lagging Bareiss column divided by prev, not its own base": (
+        RING,
+        "exact_quotient(field, t, base)",
+        "exact_quotient(field, t, prev)"),
+    "the Bareiss pivot column not brought up to date": (
+        RING,
+        "if base is not prev:",
+        "if False:"),
+    "an updated Bareiss column keeping its old base": (
+        RING,
+        "for i, t in sums if t}, piv",
+        "for i, t in sums if t}, base"),
 }
 
 STRAIGHTENING = {
@@ -169,7 +183,13 @@ def run_tests(tests, row=None):
     return run.returncode == 0, (failed or [""])[0]
 
 
+def _stop(signum, frame):
+    # unwinds like an exit: the temporary directory and the pytest child go
+    raise SystemExit(128 + signum)
+
+
 def main():
+    signal.signal(signal.SIGTERM, _stop)
     start = time.perf_counter()
     passed, failure = run_tests(RANKING_TESTS + ORACLE_TESTS)
     if not passed:

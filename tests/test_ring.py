@@ -601,11 +601,8 @@ def test_generic_rank_pivots_keep_stored_rows_short(monkeypatch):
     assert stored == 3293 < 8906 / 2
 
 
-def test_bareiss_pivots_keep_quotients_small(monkeypatch):
-    # every differential of S_(2,2) of the generic 2 x 4 matrix, counted in
-    # the terms of the exact quotients; pivoting on the smallest row of the
-    # last column computed 10,633
-    s = schur_complex((2, 2), generic_matrix_complex(2, 4))
+def _quotient_terms(monkeypatch):
+    """The term count of each exact quotient computed from now on."""
     terms = []
     quotient = schurcx.ring.exact_quotient
 
@@ -615,8 +612,31 @@ def test_bareiss_pivots_keep_quotients_small(monkeypatch):
         return q
 
     monkeypatch.setattr(schurcx.ring, "exact_quotient", counting)
+    return terms
+
+
+def test_bareiss_pivots_keep_quotients_small(monkeypatch):
+    # every differential of S_(2,2) of the generic 2 x 4 matrix, counted in
+    # the terms of the exact quotients; updating every column at every step
+    # computed 7,173, and pivoting on the smallest row as well 10,633
+    s = schur_complex((2, 2), generic_matrix_complex(2, 4))
+    terms = _quotient_terms(monkeypatch)
     assert [mat_rank_exact(d) for d in s.differentials] == [1, 7, 21, 19]
-    assert sum(terms) == 7173 < 10633
+    assert len(terms) == 1349
+    assert sum(terms) == 2663 < 7173 < 10633
+
+
+def test_bareiss_leaves_columns_off_the_pivot_row(monkeypatch):
+    # no column of a diagonal matrix meets another's pivot row: each is
+    # brought up to date once, as its pivot, and never updated; dividing
+    # every column at every step took 28 quotients
+    ring = PolyRing(RATIONALS, ["x%d" % i for i in range(8)])
+    diagonal = PolyMatrix(ring, [[v if i == j else ring.zero()
+                                  for j in range(8)]
+                                 for i, v in enumerate(ring.gens())])
+    terms = _quotient_terms(monkeypatch)
+    assert mat_rank_exact(diagonal) == 8
+    assert len(terms) == 7 < 28
 
 
 def test_matrix_stores_only_nonzeros(qq_xy):

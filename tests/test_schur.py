@@ -8,8 +8,8 @@ from conftest import (generic_matrix_complex, partitions, random_three_term,
                       signed_perm_match)
 from schurcx import (GF, RATIONALS, FreeComplex, PolyMatrix, PolyRing,
                      SchurBasis, Tableau, enumerate_standard, exterior_power,
-                     koszul_complex, schur_complex, symmetric_power,
-                     validate_complex)
+                     homology_ranks_at_point, koszul_complex, schur_complex,
+                     symmetric_power, validate_complex)
 from schurcx.oracles import column_basis
 from schurcx.tableaux import Partition, column_product
 
@@ -304,3 +304,23 @@ def test_d_squared_zero_with_a_third_column_of_height_two():
     for field in (RATIONALS, GF(3)):
         f = koszul_complex(PolyRing(field, ("x", "y", "z")).gens())
         assert validate_complex(schur_complex((3, 3), f)) == []
+
+
+@pytest.mark.parametrize("shape, p, homology", [
+    ((2,), 2, [0, 0, 0, 2, 2, 0]),
+    ((2, 1), 3, [0, 0, 0, 2, 2, 0, 0, 0]),
+])
+def test_schur_is_not_homotopy_invariant_when_p_is_at_most_the_size(
+        shape, p, homology):
+    # Koszul(x,y,z) is split exact at (0,0,1), so over QQ every S_lambda of
+    # it is exact there.  Over GF(p) with p <= |lambda| the functor L_lambda
+    # need not preserve homotopy equivalence (Dold and Puppe, 1961): at that
+    # point F splits into pieces k -> k, and S_(2) sends e^2, for a piece
+    # with even source e and odd target o, to 2*e*o, which is 0 over GF(2).
+    point = (0, 0, 1)
+    for field, want in ((RATIONALS, [0] * len(homology)), (GF(p), homology)):
+        k = koszul_complex(PolyRing(field, ("x", "y", "z")).gens())
+        assert homology_ranks_at_point(k, point) == [0, 0, 0, 0]
+        s = schur_complex(shape, k)
+        assert s.min_degree == len(shape) - 1
+        assert homology_ranks_at_point(s, point) == want
