@@ -9,7 +9,10 @@ Generic ranks are Monte Carlo lower bounds.  `generic_ranks` ranks the
 differentials at random points, over the rationals each modulo a random
 prime in [2^30, 2^31), since the rank mod a prime is at most the rank over
 QQ; at each draw it ranks them as `homology_ranks_at_point` does at its
-point.  `mat_generic_rank` is `generic_ranks` on a complex with one map.
+point.  Both rank complexes only: `generic_ranks` proves d.d = 0 on the
+ring and `homology_ranks_at_point` at its point, and each raises
+ValueError where that fails.  `mat_generic_rank` is `generic_ranks` on a
+complex with one map.
 This module alone holds the trial policy: how a point is drawn (`_draws`),
 how many trials may run (`MAX_TRIALS`) and when they stop.
 """
@@ -206,22 +209,20 @@ def _draws(ring, matrices, seed):
 def generic_ranks(f, trials=3, seed=0):
     """The best rank of each differential of f over seeded random draws.
 
-    A trial is one draw for the whole complex (`_draws`), at which the
-    differentials still below their bound are ranked in ascending degree by
-    `_ranks_at_point`.  A trial rank is a lower bound on the rank over the
-    fraction field.  When d.d = 0, the image of d_k lies in the kernel of
-    d_(k-1) and holds the image of d_(k+1), so, with r the best trial rank
-    of each neighbour,
-    rank d_k <= min(rank F_(k-1) - r_(k-1), rank F_k - r_(k+1)).  With more
-    than one trial `validate_complex` proves d.d = 0 on the ring; then a
-    rank that meets this bound is the generic rank, and d_k is not ranked
-    again.  No draw is made once every differential meets its bound; over a
-    small GF(p) that may never happen, and then every trial runs.  With one
-    trial, where the bound could save nothing, or when d.d != 0, the bound
-    is min(rows, cols) and d.d = 0 is proved at the point, pair by pair.
-    `trials` is checked first.  The ranks are those of
-    `mat_generic_rank(d, trials, seed)` on each d alone, but for one case:
-    over QQ a prime that divides a coefficient denominator of any
+    `trials` is checked first; then `validate_complex` proves d.d = 0 on the
+    ring, and a complex that fails raises ValueError whose text is its
+    violation lines.  A trial is one draw for the whole complex (`_draws`),
+    at which the differentials still below their bound are ranked in
+    ascending degree by `_ranks_at_point`.  A trial rank is a lower bound on
+    the rank over the fraction field.  Since d.d = 0, the image of d_k lies
+    in the kernel of d_(k-1) and holds the image of d_(k+1), so, with r the
+    best trial rank of each neighbour,
+    rank d_k <= min(rank F_(k-1) - r_(k-1), rank F_k - r_(k+1)); a rank that
+    meets this bound is the generic rank, and d_k is not ranked again.  No
+    draw is made once every differential meets its bound; over a small GF(p)
+    that may never happen, and then every trial runs.  The ranks are those
+    of `mat_generic_rank(d, trials, seed)` on each d alone, but for one
+    case: over QQ a prime that divides a coefficient denominator of any
     differential is drawn again for all of them.
 
     >>> from schurcx import PolyRing, RATIONALS, koszul_complex
@@ -230,22 +231,22 @@ def generic_ranks(f, trials=3, seed=0):
     ([1, 1], [1, 1])
     """
     _check_trials(trials)
+    problems = validate_complex(f)
+    if problems:
+        raise ValueError("\n".join(problems))
     diffs = f.differentials
-    proved = trials > 1 and not validate_complex(f)
-    # best[i] belongs to d_(min_degree + i); best[0] and best[-1] stay 0.
-    # The neighbours' ranks bound a rank only where d.d = 0 is proved.
+    # best[i] belongs to d_(min_degree + i); best[0] and best[-1] stay 0
     best = [0] * (len(diffs) + 2)
-    near = best if proved else [0] * len(best)
     draws = _draws(f.ring, diffs, seed)
     for _ in range(trials):
-        below = [best[i] < min(d.rows - near[i - 1], d.cols - near[i + 1])
+        below = [best[i] < min(d.rows - best[i - 1], d.cols - best[i + 1])
                  for i, d in enumerate(diffs, 1)]
         if not any(below):
             break
         field, point = next(draws)
         values = [_values_at(d.columns, point, field) if b else None
                   for d, b in zip(diffs, below)]
-        ranks = _ranks_at_point(field, values, f.ranks, proved)
+        ranks = _ranks_at_point(field, values, f.ranks)
         for i, rank in enumerate(ranks, 1):
             best[i] = max(best[i], rank or 0)  # None: not ranked
     return best[1:-1]
@@ -273,42 +274,22 @@ def mat_generic_rank(a, trials=3, seed=0):
     return generic_ranks(FreeComplex(a.ring, 0, a.shape, (a,)), trials, seed)[0]
 
 
-def _composes_to_zero(field, lower, upper):
-    """Whether lower . upper == 0 for evaluated columns {row: scalar}.
-
-    Exact sums of products of scalars: no polynomial is multiplied.
-    """
-    p = field.p
-    for col in upper:
-        acc = {}
-        for k, c in col.items():
-            for i, v in lower[k].items():
-                acc[i] = acc.get(i, 0) + v * c
-        if any(s if p is None else s % p for s in acc.values()):
-            return False
-    return True
-
-
-def _ranks_at_point(field, values, ranks, proved=False):
+def _ranks_at_point(field, values, ranks):
     """The ranks of evaluated differentials d_1, d_2, ..., in ascending degree.
 
     values holds the columns of each differential at one point, or None for
-    one left unranked (its rank reads None), and ranks the term ranks.  The
-    columns of d_k that raised its rank are independent, so when
-    d_k . d_(k+1) == 0 at the point, their span meets ker d_k, which holds
-    im d_(k+1), only in 0: deleting those rows from d_(k+1) keeps its rank
-    (one pair step of Gaussian elimination on a chain complex).  Unless
-    proved says d.d = 0 on the ring, the product is checked at the point,
-    only where there are rows to delete; where it is not zero, d_(k+1) is
-    ranked whole, as it is above an unranked d_k.  Each elimination stops
-    at min(cols, rows left).
+    one left unranked (its rank reads None), and ranks the term ranks; the
+    differentials compose to zero at the point.  The columns of d_k that
+    raised its rank are independent, so their span meets ker d_k, which
+    holds im d_(k+1), only in 0: deleting those rows from d_(k+1) keeps its
+    rank (one pair step of Gaussian elimination on a chain complex).  An
+    unranked d_k deletes no row.  Each elimination stops at
+    min(cols, rows left).
     """
     out, skip = [], ()
     for i, cols in enumerate(values):
         rank, raised = None, []
         if cols is not None:
-            if skip and not (proved or _composes_to_zero(field, values[i - 1], cols)):
-                skip = ()
             rank = scalar_rank(field, cols, skip,
                                min(ranks[i + 1], ranks[i] - len(skip)), raised)
         out.append(rank)
@@ -322,10 +303,12 @@ def homology_ranks_at_point(f, point):
     The point is checked once, before the differentials, so a complex with
     none still rejects a point that does not fit its ring.  Every
     differential is evaluated before any is ranked, and over QQ an entry
-    whose value would exceed `ring.MAX_VALUE_BITS` raises ValueError.  The
-    ranks are exact: d.d = 0 is proved at the point, on the evaluated
-    columns, for each pair in which the pivot columns of d_k delete rows of
-    d_(k+1); where it fails, d_(k+1) is ranked whole (`_ranks_at_point`).
+    whose value would exceed `ring.MAX_VALUE_BITS` raises ValueError.  Then
+    d.d = 0 is proved at the point, pair by pair, by exact sums of products
+    of the scalars, so no polynomial is multiplied; a pair that fails raises
+    ValueError naming it and its first nonzero entry, as `validate_complex`
+    does, followed by "at the point".  The ranks are exact
+    (`_ranks_at_point`).
 
     >>> from schurcx import PolyRing, RATIONALS, koszul_complex
     >>> f = koszul_complex(PolyRing(RATIONALS, ("x", "y")).gens())
@@ -334,6 +317,18 @@ def homology_ranks_at_point(f, point):
     """
     point = _coerce_point(f.ring, point)
     values = [d.evaluate(point) for d in f.differentials]
+    p = f.ring.field.p
+    for i, (lower, upper) in enumerate(zip(values, values[1:])):
+        for col, entries in enumerate(upper):
+            acc = {}
+            for j, c in entries.items():
+                for row, v in lower[j].items():
+                    acc[row] = acc.get(row, 0) + v * c
+            rows = [row for row, s in acc.items() if (s if p is None else s % p)]
+            if rows:
+                k = f.min_degree + i + 1
+                raise ValueError("d_%d . d_%d != 0 at row %d, column %d at the point"
+                                 % (k, k + 1, min(rows), col))
     return homology_from_ranks(f, _ranks_at_point(f.ring.field, values, f.ranks))
 
 

@@ -1,20 +1,23 @@
-"""Planted mutants of the rank code (generic ranks and Bareiss) and the
-straightening code: each one must fail a test.
+"""Planted mutants of the rank code (generic ranks and Bareiss), the
+straightening code and the assembly of the Schur differential: each one
+must fail a test.
 
 Run from anywhere as
 
     python tests/mutants.py
 
-pytest does not collect this file.  Each entry of RANKING and STRAIGHTENING
-maps a name to a row (file, exact text, replacement); MUTANTS holds both.
-For each row the script copies `src`, `tests`, `pyproject.toml` and
-`README.md` into a fresh temporary directory, replaces the text, which must
-occur exactly once, and runs `python -m pytest -x -q` there on the row's
-test files: for a ranking row
+pytest does not collect this file.  Each entry of RANKING, STRAIGHTENING and
+ASSEMBLY maps a name to a row (file, exact text, replacement); MUTANTS holds
+all three.  For each row the script copies `src`, `tests`, `pyproject.toml`
+and `README.md` into a fresh temporary directory, replaces the text, which
+must occur exactly once, and runs `python -m pytest -x -q` there on the
+row's test files: for a ranking row
 
-    tests/test_complexes.py tests/test_ring.py tests/test_cli.py
+    tests/test_ring.py tests/test_complexes.py tests/test_cli.py
 
-and for a straightening row only the oracle tests
+in that order, with the elimination kernel's own tests at the top of
+`tests/test_ring.py`, and for a straightening or an assembly row only the
+oracle tests
 
     tests/test_abw.py tests/test_exchange.py
 
@@ -42,27 +45,28 @@ from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
 COPIED = ("src", "tests", "pyproject.toml", "README.md")
-RANKING_TESTS = ("tests/test_complexes.py", "tests/test_ring.py",
+RANKING_TESTS = ("tests/test_ring.py", "tests/test_complexes.py",
                  "tests/test_cli.py")
 ORACLE_TESTS = ("tests/test_abw.py", "tests/test_exchange.py")
 LIMIT_S = 120
 COMPLEXES = "src/schurcx/complexes.py"
 RING = "src/schurcx/ring.py"
 TABLEAUX = "src/schurcx/tableaux.py"
+SCHUR = "src/schurcx/schur.py"
 
 RANKING = {
-    "proved ignores validate_complex": (
+    "the ring proof skipped": (
         COMPLEXES,
-        "proved = trials > 1 and not validate_complex(f)",
-        "proved = trials > 1"),
+        "problems = validate_complex(f)",
+        "problems = []"),
     "a rank certified one below the sandwich bound": (
         COMPLEXES,
-        "below = [best[i] < min(d.rows - near[i - 1], d.cols - near[i + 1])",
-        "below = [best[i] < min(d.rows - near[i - 1], d.cols - near[i + 1]) - 1"),
+        "below = [best[i] < min(d.rows - best[i - 1], d.cols - best[i + 1])",
+        "below = [best[i] < min(d.rows - best[i - 1], d.cols - best[i + 1]) - 1"),
     "the two neighbours swapped in the bound": (
         COMPLEXES,
-        "min(d.rows - near[i - 1], d.cols - near[i + 1])",
-        "min(d.rows - near[i + 1], d.cols - near[i - 1])"),
+        "min(d.rows - best[i - 1], d.cols - best[i + 1])",
+        "min(d.rows - best[i + 1], d.cols - best[i - 1])"),
     "every trial run regardless of the bound": (
         COMPLEXES,
         "below = [best[i] <",
@@ -70,15 +74,13 @@ RANKING = {
     "trials checked after the proof": (
         COMPLEXES,
         "    _check_trials(trials)\n"
-        "    diffs = f.differentials\n"
-        "    proved = trials > 1 and not validate_complex(f)\n",
-        "    diffs = f.differentials\n"
-        "    proved = trials > 1 and not validate_complex(f)\n"
+        "    problems = validate_complex(f)\n",
+        "    problems = validate_complex(f)\n"
         "    _check_trials(trials)\n"),
-    "rows deleted without the point proof": (
+    "homology ranking a pair that fails the point proof": (
         COMPLEXES,
-        "if skip and not (proved or _composes_to_zero(",
-        "if skip and not (True or _composes_to_zero("),
+        "            if rows:\n",
+        "            if False:\n"),
     "an unranked differential lending older pivots": (
         COMPLEXES,
         "        skip = set(raised)\n",
@@ -141,13 +143,29 @@ STRAIGHTENING = {
         "    return chains",
         "    return chains[:-1]"),
     "sign = 1 in the Schur differential": (
-        "src/schurcx/schur.py",
+        SCHUR,
         "sign = -1 if odd else 1",
         "sign = 1"),
 }
 
-MUTANTS = {**RANKING, **STRAIGHTENING}
-TABLES = ((RANKING, RANKING_TESTS), (STRAIGHTENING, ORACLE_TESTS))
+ASSEMBLY = {
+    "a divided power stepped down once per box, not per value": (
+        SCHUR,
+        "if pos > 0 and col[pos - 1] == v and v < 0:",
+        "if False:"),
+    "the column product's multiplicity dropped": (
+        SCHUR,
+        "scale = sign * k",
+        "scale = sign"),
+    "even letters counted as odd in the Koszul sign": (
+        SCHUR,
+        "odd ^= v < 0",
+        "odd ^= v > 0"),
+}
+
+MUTANTS = {**RANKING, **STRAIGHTENING, **ASSEMBLY}
+TABLES = ((RANKING, RANKING_TESTS), (STRAIGHTENING, ORACLE_TESTS),
+          (ASSEMBLY, ORACLE_TESTS))
 
 
 def run_tests(tests, row=None):

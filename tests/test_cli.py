@@ -14,8 +14,7 @@ import pytest
 from conftest import generic_matrix_complex
 from schurcx import (RATIONALS, GF, PolyRing, koszul_complex, save_complex,
                      schur_complex)
-from schurcx.complexes import (MAX_TRIALS, complex_from_dict, load_complex,
-                               mat_generic_rank)
+from schurcx.complexes import MAX_TRIALS, complex_from_dict, load_complex
 from schurcx.cli import main
 import schurcx.complexes
 import schurcx.ring
@@ -305,9 +304,11 @@ def test_homology_multiplies_no_polynomials(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(schurcx.ring, "mat_mul", refuse)
     assert main(["homology", "--complex", str(path), "--point", "1,1"]) == 0
     assert capsys.readouterr().out == "h_0 = 0\nh_1 = 0\nh_2 = 1\n"
-    # at (1, 2) the product is not zero: d_2 is ranked whole
-    assert main(["homology", "--complex", str(path), "--point", "1,2"]) == 0
-    assert capsys.readouterr().out == "h_0 = 0\nh_1 = -1\nh_2 = 0\n"
+    # at (1, 2) the product is not zero: refused on the scalars as well
+    assert main(["homology", "--complex", str(path), "--point", "1,2"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "d_1 . d_2 != 0 at row 0, column 0 at the point\n"
 
 
 def test_schur_identity_shape_returns_input(tmp_path, capsys, koszul_file):
@@ -336,7 +337,7 @@ def test_verify_catches_broken_differential(tmp_path, capsys):
 
 
 def test_ranks_of_a_broken_complex_rank_each_differential(tmp_path, capsys):
-    # d.d != 0 proves no bound, so each differential gets its own trials
+    # d.d != 0: ranks refuses the file as schur does, at every trial count
     data = {
         "ring": {"coefficients": "QQ", "variables": ["x", "y"]},
         "min_degree": 0,
@@ -345,23 +346,17 @@ def test_ranks_of_a_broken_complex_rank_each_differential(tmp_path, capsys):
     }
     path = tmp_path / "broken.json"
     path.write_text(json.dumps(data))
-    f = complex_from_dict(data)
-    want = [mat_generic_rank(d) for d in f.differentials]
-    assert want == [1, 1]
-    assert main(["ranks", "--complex", str(path)]) == 0
-    assert capsys.readouterr().out.splitlines() == [
-        "degrees 0..2, ranks 1 2 1",
-        "rank d_1 = %d" % want[0],
-        "rank d_2 = %d" % want[1],
-        "h_0 = 0",
-        "h_1 = 0",
-        "h_2 = 0",
-    ]
+    for trials in ([], ["--trials", "1"]):
+        assert main(["ranks", "--complex", str(path)] + trials) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "d_1 . d_2 != 0 at row 0, column 0\n"
 
 
 def test_ranks_at_one_trial_prove_d_squared_at_the_point(tmp_path, capsys,
                                                         monkeypatch):
-    # d_1 . d_2 = x*y is not zero at the point: d_2 is ranked whole there
+    # d_1 . d_2 = x*y: one trial proves d.d = 0 on the ring first, as three
+    # do, and ranks nothing when the proof fails
     data = {
         "ring": {"coefficients": "QQ", "variables": ["x", "y"]},
         "min_degree": 0,
@@ -370,20 +365,17 @@ def test_ranks_at_one_trial_prove_d_squared_at_the_point(tmp_path, capsys,
     }
     path = tmp_path / "broken.json"
     path.write_text(json.dumps(data))
-    proofs = []
-    real = schurcx.complexes._composes_to_zero
-    monkeypatch.setattr(schurcx.complexes, "_composes_to_zero",
-                        lambda *args: proofs.append(1) or real(*args))
-    assert main(["ranks", "--complex", str(path), "--trials", "1"]) == 0
-    assert capsys.readouterr().out.splitlines() == [
-        "degrees 0..2, ranks 1 1 1",
-        "rank d_1 = 1",
-        "rank d_2 = 1",
-        "h_0 = 0",
-        "h_1 = -1",
-        "h_2 = 0",
-    ]
-    assert proofs == [1]
+    proofs, ranked = [], []
+    real = schurcx.complexes.validate_complex
+    monkeypatch.setattr(schurcx.complexes, "validate_complex",
+                        lambda f: proofs.append(1) or real(f))
+    monkeypatch.setattr(schurcx.complexes, "scalar_rank",
+                        lambda *args: ranked.append(1))
+    assert main(["ranks", "--complex", str(path), "--trials", "1"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "d_1 . d_2 != 0 at row 0, column 0\n"
+    assert (proofs, ranked) == ([1], [])
 
 
 def test_ranks_prove_each_rank_with_one_elimination(tmp_path, capsys,
@@ -764,6 +756,30 @@ def test_verify_reads_entries(tmp_path, capsys, row, code, message):
     assert captured.err == message.format(path) + "\n"
 
 
+@pytest.mark.parametrize("key, value, message", [
+    ("ranks", [], "a complex needs at least one term"),
+    ("ranks", [-1], "negative rank"),
+    ("coefficients", "ZZ", "unknown coefficient field 'ZZ'"),
+    ("variables", ["x", "x"], "duplicate variable names"),
+])
+def test_complex_file_breaking_a_term_or_ring_rule_is_invalid(
+        tmp_path, capsys, key, value, message):
+    data = {
+        "ring": {"coefficients": "QQ", "variables": ["x"]},
+        "min_degree": 0,
+        "ranks": [1],
+        "differentials": [],
+    }
+    (data if key == "ranks" else data["ring"])[key] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    for argv in (["verify"], ["ranks"], ["homology", "--point", "1"]):
+        assert main(argv + ["--complex", str(path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == BAD_TEXT.format(path) % message + "\n"
+
+
 @pytest.mark.parametrize("variables, ranks, differentials", [
     ("xy", [1, 1], [[["x"]]]),       # variables as a string
     (["x"], [1, 1], ["x"]),          # a differential as a string
@@ -853,6 +869,14 @@ def test_nonsquaring_input_complex_is_invalid(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text(json.dumps(data))
     assert main(["schur", "--complex", str(path), "--shape", "2"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "d_1 . d_2 != 0 at row 0, column 0\n"
+    # d_1 . d_2 = 2*x*y is 2 at (1, 1): homology refuses it at the point
+    assert main(["homology", "--complex", str(path), "--point", "1,1"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "d_1 . d_2 != 0 at row 0, column 0 at the point\n"
 
 
 def test_wrong_point_arity_is_invalid(capsys, koszul_file):

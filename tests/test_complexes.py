@@ -197,19 +197,33 @@ def test_homology_at_point_equals_independent_ranks(field):
               for seed in range(3)]
     for f, points in cases:
         for point in points:
-            assert (homology_ranks_at_point(f, point)
-                    == _independent_homology(f, point)), (f, point)
+            h = homology_ranks_at_point(f, point)
+            assert h == _independent_homology(f, point), (f, point)
+            assert min(h) >= 0, (f, point)
 
 
 def test_homology_at_point_ranks_whole_when_d_squared_is_not_zero():
-    # d_1 . d_2 = x*y is 1 at (1, 1): deleting the pivot row of d_1 from d_2
-    # there would read rank d_2 = 0
+    # d_1 . d_2 = x*y is 1 at (1, 1): refused there, in verify's format, and
+    # ranked at (0, 1), where the specialized maps form a complex
     ring = PolyRing(RATIONALS, ("x", "y"))
     x, y = ring.gens()
     f = FreeComplex(ring, 0, (1, 1, 1),
                     (PolyMatrix(ring, [[x]]), PolyMatrix(ring, [[y]])))
-    assert homology_ranks_at_point(f, (1, 1)) == [0, -1, 0]
-    assert _independent_homology(f, (1, 1)) == [0, -1, 0]
+    with pytest.raises(ValueError) as refusal:
+        homology_ranks_at_point(f, (1, 1))
+    assert str(refusal.value) == validate_complex(f)[0] + " at the point"
+    assert homology_ranks_at_point(f, (0, 1)) == [1, 0, 0]
+    assert _independent_homology(f, (0, 1)) == [1, 0, 0]
+    # the pair and its first nonzero entry: lowest column, then lowest row
+    one, zero = ring.one(), ring.zero()
+    f = FreeComplex(ring, 1, (2, 2, 2, 2),
+                    (PolyMatrix(ring, [[zero, zero], [zero, zero]]),
+                     PolyMatrix(ring, [[one, zero], [zero, one]]),
+                     PolyMatrix(ring, [[zero, x], [zero, y]])))
+    with pytest.raises(ValueError) as refusal:
+        homology_ranks_at_point(f, (0, 1))
+    assert str(refusal.value) == "d_3 . d_4 != 0 at row 1, column 1 at the point"
+    assert validate_complex(f) == ["d_3 . d_4 != 0 at row 0, column 1"]
 
 
 def test_homology_at_point_deletes_pivot_rows(monkeypatch):
@@ -295,8 +309,9 @@ def test_generic_ranks_equal_each_differential_on_its_own():
         assert validate_complex(f) == []
         for trials in (1, 2, 3):
             for seed in (0, 7, 99):
-                assert (generic_ranks(f, trials, seed)
-                        == _each_on_its_own(f, trials, seed)), (f, trials, seed)
+                ranks = generic_ranks(f, trials, seed)
+                assert ranks == _each_on_its_own(f, trials, seed), (f, trials, seed)
+                assert min(homology_from_ranks(f, ranks)) >= 0, (f, trials, seed)
                 cases += 1
     assert cases == 9 * (4 * 10 + 1)
 
@@ -351,19 +366,23 @@ def test_generic_ranks_refuse_a_planted_low_rank(monkeypatch):
 
 
 def test_generic_ranks_fall_back_when_d_squared_is_not_zero(monkeypatch):
-    # d_2 . d_1 = x*y: the bound would read rank d_2 <= 1 - 1 = 0
+    # d_1 . d_2 = x*y and d_2 . d_3 = y*x: no fallback ranks a non-complex,
+    # at any trial count; the refusal is the violation lines of verify
     ring = PolyRing(RATIONALS, ("x", "y"))
     x, y = ring.gens()
-    f = FreeComplex(ring, 0, (1, 1, 1),
-                    (PolyMatrix(ring, [[x]]), PolyMatrix(ring, [[y]])))
-    assert validate_complex(f) != []
-    want = _each_on_its_own(f, 3, 0)
-    skips = []
-    rank = schurcx.complexes.scalar_rank
+    f = FreeComplex(ring, 0, (1, 1, 1, 1),
+                    (PolyMatrix(ring, [[x]]), PolyMatrix(ring, [[y]]),
+                     PolyMatrix(ring, [[x]])))
+    assert validate_complex(f) == ["d_1 . d_2 != 0 at row 0, column 0",
+                                   "d_2 . d_3 != 0 at row 0, column 0"]
+    ranked = []
     monkeypatch.setattr(schurcx.complexes, "scalar_rank",
-                        lambda *args: skips.append(args[2]) or rank(*args))
-    assert generic_ranks(f, 3, 0) == want == [1, 1]
-    assert skips == [(), ()]  # x*y is not zero at the point: d_2 ranked whole
+                        lambda *args: ranked.append(1))
+    for trials in (1, 3):
+        with pytest.raises(ValueError) as refusal:
+            generic_ranks(f, trials, 0)
+        assert str(refusal.value) == "\n".join(validate_complex(f))
+    assert ranked == []
 
 
 def test_generic_ranks_delete_rows_only_at_the_same_draw(monkeypatch):
@@ -386,8 +405,8 @@ def test_generic_ranks_delete_rows_only_at_the_same_draw(monkeypatch):
 
 
 def test_generic_ranks_chain_at_one_trial(monkeypatch):
-    # W1 at one trial: no proof on the ring, so d.d = 0 is proved at the
-    # point and the pivot rows are deleted all the same
+    # W1 at one trial: d.d = 0 is proved on the ring, as at every trial
+    # count, and the pivot rows are deleted
     ring = PolyRing(GF(32003), ("x", "y", "z"))
     f = schur_complex((3, 2), koszul_complex(ring.gens()))
     entries = []
@@ -441,6 +460,29 @@ def test_generic_ranks_check_trials_first(monkeypatch, trials):
     with pytest.raises(ValueError, match="trials must be"):
         generic_ranks(f, trials)
     assert calls == []
+
+
+def test_complexes_refuse_what_is_not_one(koszul_xy):
+    ring = koszul_xy.ring
+    x, y = ring.gens()
+    d = PolyMatrix(ring, [[x]])
+    gf3 = PolyRing(GF(3), ("x", "y"))
+    for ranks, diffs, message in (
+            ((), (), "a complex needs at least one term"),
+            ((1, -1), (), "negative rank"),
+            ((1, 1), (PolyMatrix(gf3, [[gf3.variable("y")]]),),
+             "differential over wrong ring")):
+        with pytest.raises(ValueError, match="^%s$" % message):
+            FreeComplex(ring, 0, ranks, diffs)
+    assert FreeComplex(ring, 0, (1, 1), (d,)).ranks == (1, 1)
+    with pytest.raises(ValueError, match="^need at least one element$"):
+        koszul_complex([])
+    other = PolyRing(RATIONALS, ("z",)).variable("z")
+    with pytest.raises(ValueError, match="^elements from different rings$"):
+        koszul_complex([x, other])
+    with pytest.raises(ValueError, match="^unknown coefficient field 'ZZ'$"):
+        complex_from_dict({"ring": {"coefficients": "ZZ", "variables": ["x"]},
+                           "min_degree": 0, "ranks": [1], "differentials": []})
 
 
 def test_json_round_trip(tmp_path, koszul_xy):

@@ -25,6 +25,83 @@ def qq_xy():
     return PolyRing(RATIONALS, ("x", "y"))
 
 
+# The elimination kernel's own tests come first: `tests/mutants.py` runs this
+# file first, so a kernel mutant that would only slow the later tests down
+# fails here, in seconds.
+
+def _random_sparse_rows(rng, field, nrows, ncols):
+    rows = [[field.coerce(rng.choice((-3, -1, 1, 2, 5)))
+             if rng.random() < 0.3 else 0 for _ in range(ncols)]
+            for _ in range(nrows)]
+    if nrows and ncols and rng.random() < 0.5:
+        rows[rng.randrange(nrows)] = [0] * ncols
+    if nrows and ncols and rng.random() < 0.5:
+        j = rng.randrange(ncols)
+        for row in rows:
+            row[j] = 0
+    if nrows > 1 and rng.random() < 0.5:
+        # a combination of two rows, so that elimination must cancel
+        a, b = rng.sample(range(nrows), 2)
+        rows[a] = [field.coerce(x + 2 * y) for x, y in zip(rows[a], rows[b])]
+    return rows
+
+
+# row i of a matrix as a column key of each order the kernel must accept
+_KEYS = {"int": lambda i: i, "negative int": lambda i: -1 - i,
+         "tuple": lambda i: (i % 3, -i)}
+
+
+@pytest.mark.parametrize("key", _KEYS.values(), ids=_KEYS.keys())
+@pytest.mark.parametrize("field", [RATIONALS, GF(7)], ids=repr)
+def test_elimination_takes_any_ordered_keys(field, key):
+    # the kernel compares keys and nothing else: ranks with rows deleted and
+    # an early stop agree with Bareiss on the submatrix, and the vectors
+    # listed in raised are independent, whichever way the rows are keyed
+    rng = random.Random(11)
+    ring = PolyRing(field, ("x",))
+    for _ in range(40):
+        nrows, ncols = rng.randint(1, 8), rng.randint(1, 8)
+        rows = _random_sparse_rows(rng, field, nrows, ncols)
+        skip = set(rng.sample(range(nrows), rng.randint(0, nrows - 1)))
+        kept = [i for i in range(nrows) if i not in skip]
+
+        def bareiss(cols):
+            return mat_rank_exact(PolyMatrix(
+                ring, [[ring.constant(rows[i][j]) for j in cols] for i in kept],
+                shape=(len(kept), len(cols))))
+
+        full = bareiss(range(ncols))
+        stop = rng.choice([None, rng.randint(0, full + 1)])
+        vectors = [{key(i): row[j] for i, row in enumerate(rows)}
+                   for j in range(ncols)]
+        raised = []
+        rank = scalar_rank(field, vectors, {key(i) for i in skip}, stop, raised)
+        assert rank == (full if stop is None else min(stop, full))
+        assert len(raised) == rank == bareiss(raised)
+        echelon = SparseEchelon(field)
+        kept_vectors = [{key(i): vec[key(i)] for i in kept} for vec in vectors]
+        for vec in kept_vectors:
+            echelon.insert(vec)
+        assert echelon.rank == full
+        assert all(max(row) == piv and row[piv] == 1
+                   for piv, row in echelon.rows.items())
+        assert not any(echelon.reduce(vec) for vec in kept_vectors)
+
+
+def test_scalar_rank_matches_bareiss():
+    rng = random.Random(5)
+    for field in (RATIONALS, GF(7)):
+        ring = PolyRing(field, ("x",))
+        for nrows, ncols in [(0, 4), (4, 0), (0, 0)] + [
+                (rng.randint(1, 7), rng.randint(1, 7)) for _ in range(40)]:
+            rows = _random_sparse_rows(rng, field, nrows, ncols)
+            a = PolyMatrix(ring, [[ring.constant(c) for c in row] for row in rows],
+                           shape=(nrows, ncols))
+            vectors = [dict(enumerate(row)) for row in rows]
+            assert scalar_rank(field, vectors) == mat_rank_exact(a)
+            assert scalar_rank(field, a.evaluate((3,))) == mat_rank_exact(a)
+
+
 def test_add_inverse(qq_xy):
     x = qq_xy.variable("x")
     assert x + -x == qq_xy.zero()
@@ -172,6 +249,8 @@ def test_ring_rejects_unreadable_names():
             PolyRing(RATIONALS, (bad,))
     for good in ("x1", "_y", "alpha_2", "X"):
         assert PolyRing(RATIONALS, (good,)).variables == (good,)
+    with pytest.raises(ValueError, match="^duplicate variable names$"):
+        PolyRing(RATIONALS, ("x", "y", "x"))
 
 
 def test_is_prime():
@@ -206,6 +285,9 @@ def test_gf_arithmetic():
     assert f.invert(3) == 5
     with pytest.raises(ZeroDivisionError):
         f.invert(0)
+    assert RATIONALS.invert(Fraction(-2, 3)) == Fraction(-3, 2)
+    with pytest.raises(ZeroDivisionError, match="^inverse of zero$"):
+        RATIONALS.invert(0)
 
 
 def test_koszul_d1_d2_composes_to_zero(qq_xy):
@@ -494,6 +576,8 @@ def test_power_must_be_an_int(qq_xy):
     for k in (True, 1.5, 2.0):
         with pytest.raises(ValueError):
             x ** k
+    with pytest.raises(ValueError, match="^negative power$"):
+        x ** -1
     assert x ** 0 == 1 and x ** 1 == x
 
 
@@ -507,79 +591,6 @@ def test_evaluate_huge_exponent_mod_p():
         want = (pow(a, 10 ** 11 % (p - 1), p) if a else 0) + 2
         assert poly.evaluate((a,)) == want % p
     assert time.monotonic() - start < 1.0
-
-
-def _random_sparse_rows(rng, field, nrows, ncols):
-    rows = [[field.coerce(rng.choice((-3, -1, 1, 2, 5)))
-             if rng.random() < 0.3 else 0 for _ in range(ncols)]
-            for _ in range(nrows)]
-    if nrows and ncols and rng.random() < 0.5:
-        rows[rng.randrange(nrows)] = [0] * ncols
-    if nrows and ncols and rng.random() < 0.5:
-        j = rng.randrange(ncols)
-        for row in rows:
-            row[j] = 0
-    if nrows > 1 and rng.random() < 0.5:
-        # a combination of two rows, so that elimination must cancel
-        a, b = rng.sample(range(nrows), 2)
-        rows[a] = [field.coerce(x + 2 * y) for x, y in zip(rows[a], rows[b])]
-    return rows
-
-
-def test_scalar_rank_matches_bareiss():
-    rng = random.Random(5)
-    for field in (RATIONALS, GF(7)):
-        ring = PolyRing(field, ("x",))
-        for nrows, ncols in [(0, 4), (4, 0), (0, 0)] + [
-                (rng.randint(1, 7), rng.randint(1, 7)) for _ in range(40)]:
-            rows = _random_sparse_rows(rng, field, nrows, ncols)
-            a = PolyMatrix(ring, [[ring.constant(c) for c in row] for row in rows],
-                           shape=(nrows, ncols))
-            vectors = [dict(enumerate(row)) for row in rows]
-            assert scalar_rank(field, vectors) == mat_rank_exact(a)
-            assert scalar_rank(field, a.evaluate((3,))) == mat_rank_exact(a)
-
-
-# row i of a matrix as a column key of each order the kernel must accept
-_KEYS = {"int": lambda i: i, "negative int": lambda i: -1 - i,
-         "tuple": lambda i: (i % 3, -i)}
-
-
-@pytest.mark.parametrize("key", _KEYS.values(), ids=_KEYS.keys())
-@pytest.mark.parametrize("field", [RATIONALS, GF(7)], ids=repr)
-def test_elimination_takes_any_ordered_keys(field, key):
-    # the kernel compares keys and nothing else: ranks with rows deleted and
-    # an early stop agree with Bareiss on the submatrix, and the vectors
-    # listed in raised are independent, whichever way the rows are keyed
-    rng = random.Random(11)
-    ring = PolyRing(field, ("x",))
-    for _ in range(40):
-        nrows, ncols = rng.randint(1, 8), rng.randint(1, 8)
-        rows = _random_sparse_rows(rng, field, nrows, ncols)
-        skip = set(rng.sample(range(nrows), rng.randint(0, nrows - 1)))
-        kept = [i for i in range(nrows) if i not in skip]
-
-        def bareiss(cols):
-            return mat_rank_exact(PolyMatrix(
-                ring, [[ring.constant(rows[i][j]) for j in cols] for i in kept],
-                shape=(len(kept), len(cols))))
-
-        full = bareiss(range(ncols))
-        stop = rng.choice([None, rng.randint(0, full + 1)])
-        vectors = [{key(i): row[j] for i, row in enumerate(rows)}
-                   for j in range(ncols)]
-        raised = []
-        rank = scalar_rank(field, vectors, {key(i) for i in skip}, stop, raised)
-        assert rank == (full if stop is None else min(stop, full))
-        assert len(raised) == rank == bareiss(raised)
-        echelon = SparseEchelon(field)
-        kept_vectors = [{key(i): vec[key(i)] for i in kept} for vec in vectors]
-        for vec in kept_vectors:
-            echelon.insert(vec)
-        assert echelon.rank == full
-        assert all(max(row) == piv and row[piv] == 1
-                   for piv, row in echelon.rows.items())
-        assert not any(echelon.reduce(vec) for vec in kept_vectors)
 
 
 def test_generic_rank_pivots_keep_stored_rows_short(monkeypatch):
@@ -777,6 +788,22 @@ def test_matrix_constructor_rejects_bad_entries(qq_xy):
         PolyMatrix(qq_xy, [[x, other.variable("x")]])
     with pytest.raises(ValueError):
         PolyMatrix(qq_xy, [[x, 1]])
+    for entries in ([[x, y]], [[x], [y]], []):
+        with pytest.raises(ValueError, match=r"^entries do not match shape \(2, 2\)$"):
+            PolyMatrix(qq_xy, entries, shape=(2, 2))
+
+
+def test_polynomials_and_products_refuse_a_ring_mismatch(qq_xy):
+    x, y = qq_xy.gens()
+    z = PolyRing(GF(3), ("x", "y")).variable("x")
+    for op in (lambda: x + z, lambda: x * z, lambda: z - y):
+        with pytest.raises(ValueError, match="^ring mismatch$"):
+            op()
+    a = PolyMatrix(qq_xy, [[x, y]])
+    with pytest.raises(ValueError, match="^ring mismatch$"):
+        mat_mul(a, PolyMatrix(z.ring, [[z], [z]]))
+    with pytest.raises(ValueError, match="^shape mismatch: 1x2 times 1x2$"):
+        mat_mul(a, a)
 
 
 def test_entry_index_out_of_range_raises(qq_xy):
