@@ -7,13 +7,11 @@ consistency failure (output differentials that do not square to zero).
 
 import argparse
 import json
-import os
 import sys
-import tempfile
 from fractions import Fraction
 
-from .complexes import (_array, complex_from_dict, complex_to_dict,
-                        generic_ranks, homology_from_ranks,
+from .complexes import (_array, _save_json, _write_json, complex_from_dict,
+                        complex_to_dict, generic_ranks, homology_from_ranks,
                         homology_ranks_at_point, validate_complex)
 # schur_complex is not called here; perfbench's tracer wraps it in this module
 from .schur import SchurBasis, _assemble, schur_complex
@@ -58,42 +56,12 @@ def _tableau_from_dict(data):
     return Tableau.from_entries(shape, records)
 
 
-def _write_json(data, fh):
-    # streamed: the whole text of a large complex is never held at once
-    json.dump(data, fh, indent=2, sort_keys=True)
-    fh.write("\n")
-
-
 def _emit(data, out):
-    """Write the JSON to stdout, or to out; a failed write leaves out as it was.
-
-    A regular or new file is replaced by a complete temporary file written
-    beside it, with the mode `open(out, "w")` would give, through a symlink;
-    a device, a pipe or a directory is written directly.
-    """
+    """Write the JSON to stdout, or to out by `_save_json`; exit 2 on failure."""
     if not out:
         return _write_json(data, sys.stdout)
     try:
-        target = os.path.realpath(out)
-        if not os.path.exists(target):
-            os.umask(umask := os.umask(0))  # reads the umask, leaves it set
-            mode = 0o666 & ~umask
-        elif os.path.isfile(target):
-            open(target, "a").close()  # refused where open(out, "w") would be
-            mode = os.stat(target).st_mode & 0o7777
-        else:
-            with open(out, "w") as fh:
-                return _write_json(data, fh)
-        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), suffix=".tmp",
-                                   prefix="." + os.path.basename(target) + ".")
-        try:
-            with os.fdopen(fd, "w") as fh:
-                os.fchmod(fd, mode)
-                _write_json(data, fh)
-            os.replace(tmp, target)
-        except BaseException:
-            os.unlink(tmp)
-            raise
+        _save_json(data, out)
     except OSError as exc:  # str(exc) may name the temporary file
         raise CliError(PARSE_ERROR, "cannot write %s: %s" % (out, exc.strerror))
 
@@ -138,9 +106,7 @@ def cmd_schur(args):
     f = _load(args.complex, "complex", complex_from_dict)
     problems = validate_complex(f)
     if problems:
-        for p in problems:
-            print(p, file=sys.stderr)
-        return INVALID_INPUT
+        raise ValueError("\n".join(problems))
     if args.conjugate:
         shape = shape.conjugate()
     basis = SchurBasis(shape, f)

@@ -14,15 +14,19 @@ ring and `homology_ranks_at_point` at its point, and each raises
 ValueError where that fails.  `mat_generic_rank` is `generic_ranks` on a
 complex with one map.
 This module alone holds the trial policy: how a point is drawn (`_draws`),
-how many trials may run (`MAX_TRIALS`) and when they stop.
+how many trials may run (`MAX_TRIALS`) and when they stop.  It also writes
+every JSON file, `save_complex` and the command line's `--out` alike
+(`_save_json`): a write that fails part-way leaves the old file whole.
 """
 
 import itertools
 import json
+import os
 import random
 
 from .ring import (GF, CoefficientField, PolyRing, PolyMatrix, RATIONALS,
-                   _coerce_point, _values_at, is_prime, mat_mul, scalar_rank)
+                   _coerce_point, _values_at, add_scaled, is_prime, mat_mul,
+                   reduce_terms, scalar_rank)
 
 # The most trials, one random draw each, that `generic_ranks` runs.  They stop
 # early only at proven ranks (the bounds in `generic_ranks`), so on an
@@ -317,14 +321,12 @@ def homology_ranks_at_point(f, point):
     """
     point = _coerce_point(f.ring, point)
     values = [d.evaluate(point) for d in f.differentials]
-    p = f.ring.field.p
     for i, (lower, upper) in enumerate(zip(values, values[1:])):
         for col, entries in enumerate(upper):
             acc = {}
             for j, c in entries.items():
-                for row, v in lower[j].items():
-                    acc[row] = acc.get(row, 0) + v * c
-            rows = [row for row, s in acc.items() if (s if p is None else s % p)]
+                add_scaled(acc, lower[j], c)
+            rows = reduce_terms(f.ring.field, acc)
             if rows:
                 k = f.min_degree + i + 1
                 raise ValueError("d_%d . d_%d != 0 at row %d, column %d at the point"
@@ -385,10 +387,44 @@ def complex_from_dict(data):
     return FreeComplex(ring, data["min_degree"], ranks, diffs)
 
 
+def _write_json(data, fh):
+    # streamed: the whole text of a large complex is never held at once
+    json.dump(data, fh, indent=2, sort_keys=True)
+    fh.write("\n")
+
+
+def _save_json(data, path):
+    """Write the JSON of data to path; a failed write leaves path as it was.
+
+    A regular or new file is replaced by a complete temporary file, created
+    beside it as `open(path, "w")` would create it, with the old file's mode;
+    a symlink is written through, a device, a pipe or a directory directly.
+    """
+    target = os.path.realpath(path)
+    mode = None
+    if os.path.exists(target):
+        if not os.path.isfile(target):
+            with open(path, "w") as fh:
+                return _write_json(data, fh)
+        open(target, "a").close()  # refused where open(path, "w") would be
+        mode = os.stat(target).st_mode & 0o7777
+    head, name = os.path.split(target)
+    tmp = os.path.join(head, ".%s.%s.tmp" % (name, os.urandom(8).hex()))
+    fh = open(tmp, "x")  # exclusive, 0o666 less the umask as for a new file
+    try:
+        with fh:
+            if mode is not None:
+                os.fchmod(fh.fileno(), mode)
+            _write_json(data, fh)
+        os.replace(tmp, target)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
 def save_complex(f, path):
-    with open(path, "w") as fh:
-        json.dump(complex_to_dict(f), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    """Write f to path as `complex_to_dict` JSON, as `schur --out` does."""
+    _save_json(complex_to_dict(f), path)
 
 
 def load_complex(path):

@@ -8,12 +8,15 @@ tableau, standard tableaux independent images, and `row_derivation` of an
 image must be the image of d.  It is built from the definition alone and
 has no size guard; its cost grows with the product of the column heights'
 factorials, not with the number of fillings.  `is_standard` decides
-standardness from its definition.  This module imports no module of the
+standardness from its definition.  `partitions`, `standard_count` (f^λ)
+and `degree_power` are the integer side of the Künneth-Schur-Weyl identity:
+the f^λ-weighted homology of the Schur complexes of one size n is the n-th
+power of the homology of F.  This module imports no module of the
 package, and no core module imports it.
 """
 
 import itertools
-from math import prod
+from math import factorial, prod
 
 
 def column_basis(length, m, n):
@@ -199,3 +202,45 @@ def is_standard(t):
     """
     return (all(a < b or a == b < 0 for col in t for a, b in zip(col, col[1:]))
             and _first_violation(t) is None)
+
+
+# -- counting ----------------------------------------------------------------
+
+def partitions(r, cap=None):
+    """All partitions of r with parts bounded by cap, largest part first."""
+    if r == 0:
+        yield ()
+        return
+    cap = cap or r
+    for first in range(min(r, cap), 0, -1):
+        for rest in partitions(r - first, first):
+            yield (first,) + rest
+
+
+def standard_count(shape):
+    """f^λ, the number of standard Young tableaux of the shape: |λ|! over
+    the product of the hook lengths.
+
+    >>> [standard_count(s) for s in partitions(4)]
+    [1, 3, 2, 3, 1]
+    """
+    heights = [sum(part > j for part in shape)
+               for j in range(max(shape, default=0))]
+    hooks = prod(part - j + heights[j] - i - 1
+                 for i, part in enumerate(shape) for j in range(part))
+    return factorial(sum(shape)) // hooks
+
+
+def degree_power(h, n):
+    """The n-th power of a polynomial in t given as {degree: coefficient}.
+
+    >>> degree_power({0: 1, 1: 2}, 2)
+    {0: 1, 1: 4, 2: 4}
+    """
+    out = {0: 1}
+    for _ in range(n):
+        prev, out = out, {}
+        for a, x in prev.items():
+            for b, y in h.items():
+                _add(out, a + b, x * y)
+    return out

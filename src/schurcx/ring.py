@@ -230,8 +230,7 @@ class Polynomial:
             other = self.ring.constant(other)
         self._check_ring(other)
         acc = dict(self.terms)
-        for exps, c in other.terms.items():
-            acc[exps] = acc.get(exps, 0) + c
+        add_scaled(acc, other.terms, 1)
         return Polynomial(self.ring, reduce_terms(self.ring.field, acc))
 
     __radd__ = __add__
@@ -624,14 +623,12 @@ def mat_mul(a, b):
                     acc = sums.setdefault(e, {})
                     for i, c1 in rows.items():
                         acc[i] = acc.get(i, 0) + c1 * c2
-        terms = {}
         for e, acc in sums.items():
             for i, c in acc.items():
                 if p is not None:
                     c %= p
                 if c:
-                    terms.setdefault(i, {})[e] = c
-        ocol.update(terms)
+                    ocol.setdefault(i, {})[e] = c
     return out
 
 

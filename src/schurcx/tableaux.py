@@ -230,25 +230,17 @@ def theta_image(v1, v2, v3, ca, cb):
     v1, v2, v3 are canonical column tuples, len(v1) + len(v2) + len(v3)
     equal to ca + cb; v2 is split into a (ca - len(v1), cb - len(v3)) piece,
     the left part multiplies v1 and the right part multiplies into v3.  Returns
-    {(column of length ca, column of length cb): integer coefficient}.
+    {(column of length ca, column of length cb): integer coefficient}, one
+    term per split whose two products survive: a product's sorted column
+    fixes its part of v2, so no two splits give one pair.
     """
-    u, v = len(v1), len(v3)
     out = {}
-    for (left, right), sign in wedge_coproduct(v2, (ca - u, cb - v)).items():
+    split = (ca - len(v1), cb - len(v3))
+    for (left, right), sign in wedge_coproduct(v2, split).items():
         a = column_product(v1, left)
-        if a is None:
-            continue
-        b = column_product(right, v3)
-        if b is None:
-            continue
-        col_a, ka = a
-        col_b, kb = b
-        key = (col_a, col_b)
-        c = out.get(key, 0) + sign * ka * kb
-        if c:
-            out[key] = c
-        else:
-            out.pop(key, None)
+        b = a and column_product(right, v3)
+        if b:  # (column, coefficient) of each product, None where it vanishes
+            out[a[0], b[0]] = sign * a[1] * b[1]
     return out
 
 

@@ -7,6 +7,7 @@ import pytest
 
 from schurcx import FreeComplex, PolyMatrix, PolyRing, RATIONALS, koszul_complex
 from schurcx.complexes import random_prime
+from schurcx.oracles import partitions  # the tests import it from here
 from schurcx.tableaux import Partition, normalize_column
 
 
@@ -14,17 +15,6 @@ from schurcx.tableaux import Partition, normalize_column
 def koszul_xy():
     ring = PolyRing(RATIONALS, ("x", "y"))
     return koszul_complex(ring.gens())
-
-
-def partitions(r, cap=None):
-    """All partitions of r with parts bounded by cap, largest part first."""
-    if r == 0:
-        yield ()
-        return
-    cap = cap or r
-    for first in range(min(r, cap), 0, -1):
-        for rest in partitions(r - first, first):
-            yield (first,) + rest
 
 
 def trial_primes(seed, nvars):

@@ -16,17 +16,17 @@ row's test files: for a ranking row
     tests/test_ring.py tests/test_complexes.py tests/test_cli.py
 
 in that order, with the elimination kernel's own tests at the top of
-`tests/test_ring.py`, and for a straightening or an assembly row only the
-oracle tests
+`tests/test_ring.py`, for a straightening row only the oracle tests
 
     tests/test_abw.py tests/test_exchange.py
 
-so that the kill recorded is the oracles' own, not that of a golden test
-that happens to run first.  The mutant is killed when that run fails, and
-the script prints the first failing test.  A run still going after
-LIMIT_S seconds is stopped and fails too: on the unchanged copy each run
-takes seconds, and a mutant may blow up the work of an elimination without
-making any rank wrong.  The same runs on the unchanged copy must pass
+and for an assembly row those and the Künneth-Schur-Weyl identity,
+`tests/test_kunneth.py`, so that the kill recorded is the oracles' own,
+not that of a golden test that happens to run first.  The mutant is
+killed when that run fails, and the script prints the first failing
+test.  A run still going after LIMIT_S seconds is stopped and fails too:
+on the unchanged copy each run takes seconds, and a mutant may blow up
+the work of an elimination without making any rank wrong.  The same runs on the unchanged copy must pass
 first, or no kill means anything.  The script exits 1 naming every mutant
 that survives.  SIGTERM ends the script as an exit does, so a stopped run
 removes its copy and stops its pytest, as on SIGINT.
@@ -48,6 +48,7 @@ COPIED = ("src", "tests", "pyproject.toml", "README.md")
 RANKING_TESTS = ("tests/test_ring.py", "tests/test_complexes.py",
                  "tests/test_cli.py")
 ORACLE_TESTS = ("tests/test_abw.py", "tests/test_exchange.py")
+ASSEMBLY_TESTS = ORACLE_TESTS + ("tests/test_kunneth.py",)
 LIMIT_S = 120
 COMPLEXES = "src/schurcx/complexes.py"
 RING = "src/schurcx/ring.py"
@@ -165,7 +166,7 @@ ASSEMBLY = {
 
 MUTANTS = {**RANKING, **STRAIGHTENING, **ASSEMBLY}
 TABLES = ((RANKING, RANKING_TESTS), (STRAIGHTENING, ORACLE_TESTS),
-          (ASSEMBLY, ORACLE_TESTS))
+          (ASSEMBLY, ASSEMBLY_TESTS))
 
 
 def run_tests(tests, row=None):
@@ -209,7 +210,7 @@ def _stop(signum, frame):
 def main():
     signal.signal(signal.SIGTERM, _stop)
     start = time.perf_counter()
-    passed, failure = run_tests(RANKING_TESTS + ORACLE_TESTS)
+    passed, failure = run_tests(RANKING_TESTS + ASSEMBLY_TESTS)
     if not passed:
         print("the unchanged copy fails (%s): no mutant can be judged" % failure)
         return 1

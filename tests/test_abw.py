@@ -20,7 +20,9 @@ from schurcx import (GF, RATIONALS, PolyRing, SchurBasis, enumerate_standard,
 from schurcx.oracles import (_add, abw_image, column_basis, is_standard,
                              row_derivation)
 from schurcx.ring import SparseEchelon, scalar_rank
-from schurcx.tableaux import Partition, _exchange, normalize_column
+import schurcx.tableaux
+from schurcx.tableaux import (Partition, _exchange, column_product,
+                              normalize_column, theta_image, wedge_coproduct)
 
 FIELDS = [RATIONALS, GF(2), GF(3)]
 
@@ -87,19 +89,36 @@ def test_every_small_filling_straightens_to_standard_with_its_image():
     assert (cases, nonzero) == (9882, 4227)
 
 
-def test_every_exchange_relation_lies_in_the_kernel():
+def test_every_exchange_relation_lies_in_the_kernel(monkeypatch):
+    # theta_image stores one term per split whose two column products
+    # survive, summing none: each call's term count is recorded to pin that
+    # no two splits meet
+    calls = []
+
+    def counted(v1, v2, v3, ca, cb):
+        image = theta_image(v1, v2, v3, ca, cb)
+        calls.append(((v1, v2, v3, ca, cb), len(image)))
+        return image
+
+    monkeypatch.setattr(schurcx.tableaux, "theta_image", counted)
     pairs = relations = 0
     for a in range(1, 4):
         for b in range(1, a + 1):
             for pair in itertools.product(column_basis(a, 3, 3),
                                           column_basis(b, 3, 3)):
                 pairs += 1
-                relation = _exchange(*pair)
+                relation = _exchange.__wrapped__(*pair)  # past the cache
                 if relation is None:
                     continue
                 relations += 1
                 others = _image_of({other: -k for other, k in relation})
                 assert abw_image(pair) == others, pair
+                (v1, v2, v3, ca, cb), terms = calls.pop()
+                splits = wedge_coproduct(v2, (ca - len(v1), cb - len(v3)))
+                assert terms == sum(
+                    column_product(v1, left) is not None
+                    and column_product(right, v3) is not None
+                    for left, right in splits), pair
     assert (pairs, relations) == (2824, 1934)
 
 

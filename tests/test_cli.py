@@ -1,5 +1,6 @@
 """End-to-end runs of the command line interface."""
 
+import errno
 import json
 import os
 import resource
@@ -565,6 +566,18 @@ def test_failed_out_write_keeps_the_old_file(tmp_path):
     assert proc.stdout == ""
     assert out.read_text() == '{"old": true}\n'
     assert sorted(os.listdir(tmp_path)) == files  # no temporary file left
+    # save_complex writes through the same writer, under the same limit
+    code = ("from schurcx import save_complex, schur_complex\n"
+            "from schurcx.complexes import load_complex\n"
+            "save_complex(schur_complex((3, 2), load_complex('koszul.json')),"
+            " 'keep.json')\n")
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env,
+        cwd=tmp_path, timeout=60.0, preexec_fn=_lower_file_size_limit)
+    assert proc.returncode == 1
+    assert os.strerror(errno.EFBIG) in proc.stderr
+    assert out.read_text() == '{"old": true}\n'
+    assert sorted(os.listdir(tmp_path)) == files
 
 
 def test_out_keeps_the_mode_and_writes_through_a_symlink(tmp_path, koszul_file,
@@ -582,6 +595,17 @@ def test_out_keeps_the_mode_and_writes_through_a_symlink(tmp_path, koszul_file,
     assert old.read_text() == new.read_text() != "old\n"
     umask = os.umask(0)
     os.umask(umask)
+    assert stat.S_IMODE(old.stat().st_mode) == 0o640
+    assert stat.S_IMODE(new.stat().st_mode) == 0o666 & ~umask
+    assert sorted(os.listdir(tmp_path)) == [
+        "koszul.json", "link.json", "new.json", "old.json"]
+    # save_complex writes through the same writer
+    new.unlink()
+    f = load_complex(koszul_file)
+    save_complex(f, str(link))
+    save_complex(f, str(new))
+    assert link.is_symlink()
+    assert old.read_text() == new.read_text() == Path(koszul_file).read_text()
     assert stat.S_IMODE(old.stat().st_mode) == 0o640
     assert stat.S_IMODE(new.stat().st_mode) == 0o666 & ~umask
     assert sorted(os.listdir(tmp_path)) == [
