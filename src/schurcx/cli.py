@@ -113,11 +113,9 @@ def cmd_schur(args):
     s = _assemble(basis, f)
     problems = validate_complex(s)
     if problems:
-        print("internal error: output differentials do not compose to zero",
-              file=sys.stderr)
-        for p in problems:
-            print(p, file=sys.stderr)
-        return INTERNAL_ERROR
+        raise CliError(INTERNAL_ERROR, "\n".join(
+            ["internal error: output differentials do not compose to zero"]
+            + problems))
     payload = complex_to_dict(s)
     payload["shape"] = list(shape)
     payload["basis"] = [

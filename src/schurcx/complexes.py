@@ -80,11 +80,6 @@ class FreeComplex:
     def degrees(self):
         return range(self.min_degree, self.max_degree + 1)
 
-    def rank_at(self, k):
-        if self.min_degree <= k <= self.max_degree:
-            return self.ranks[k - self.min_degree]
-        return 0
-
     def differential_from(self, k):
         """The matrix of d: degree k -> degree k-1, or None off the range."""
         i = k - self.min_degree - 1
@@ -103,24 +98,26 @@ class FreeComplex:
             self.min_degree, self.max_degree, list(self.ranks))
 
 
-def validate_complex(f):
-    """Return a list of violations; empty means d.d == 0.
-
-    Reports every adjacent pair of differentials whose composition is
-    nonzero, with the 0-based row and column of its first nonzero entry
-    (lowest column, then lowest row).  Shapes need no check here:
-    `FreeComplex` accepts only differentials that fit its ranks.
-    """
-    problems = []
-    for i in range(len(f.differentials) - 1):
-        a, b = f.differentials[i], f.differentials[i + 1]
-        for col, entries in enumerate(mat_mul(a, b).columns):
-            if entries:
-                k = f.min_degree + i + 1
-                problems.append("d_%d . d_%d != 0 at row %d, column %d"
-                                % (k, k + 1, min(entries), col))
+def _d_squared_failures(products, min_degree):
+    """The violation line of each pair d_k, d_(k+1) whose product is not
+    zero, naming its first nonzero entry (lowest column, then lowest row).
+    products gives the columns, {row: entry} each, of the products from
+    k = min_degree + 1 up, and is drawn only as far as the scan goes."""
+    for k, columns in enumerate(products, min_degree + 1):
+        for col, rows in enumerate(columns):
+            if rows:
+                yield ("d_%d . d_%d != 0 at row %d, column %d"
+                       % (k, k + 1, min(rows), col))
                 break
-    return problems
+
+
+def validate_complex(f):
+    """Every line `_d_squared_failures` gives on the `mat_mul` products of
+    the adjacent pairs; empty means d.d == 0.  Shapes need no check here:
+    `FreeComplex` accepts only differentials that fit its ranks."""
+    diffs = f.differentials
+    products = (mat_mul(a, b).columns for a, b in zip(diffs, diffs[1:]))
+    return list(_d_squared_failures(products, f.min_degree))
 
 
 def koszul_complex(elements):
@@ -158,11 +155,11 @@ def koszul_complex(elements):
 def homology_from_ranks(f, d_ranks):
     """rank F_k - rank d_k - rank d_(k+1) for each degree k, low degree first.
 
-    d_ranks lists the ranks of the differentials of f in their order.
+    d_ranks lists the ranks of the differentials of f in their order, padded
+    here with a zero at each end for the maps in and out of the range.
     """
-    d_rank = dict(zip(range(f.min_degree + 1, f.max_degree + 1), d_ranks))
-    return [f.rank_at(k) - d_rank.get(k, 0) - d_rank.get(k + 1, 0)
-            for k in f.degrees()]
+    d = [0, *d_ranks, 0]
+    return [r - d[i] - d[i + 1] for i, r in enumerate(f.ranks)]
 
 
 def random_prime(rng):
@@ -308,11 +305,10 @@ def homology_ranks_at_point(f, point):
     none still rejects a point that does not fit its ring.  Every
     differential is evaluated before any is ranked, and over QQ an entry
     whose value would exceed `ring.MAX_VALUE_BITS` raises ValueError.  Then
-    d.d = 0 is proved at the point, pair by pair, by exact sums of products
-    of the scalars, so no polynomial is multiplied; a pair that fails raises
-    ValueError naming it and its first nonzero entry, as `validate_complex`
-    does, followed by "at the point".  The ranks are exact
-    (`_ranks_at_point`).
+    d.d = 0 is proved at the point: `_d_squared_failures` scans the scalar
+    products, each column an exact sum made only when the scan reaches it,
+    so no polynomial is multiplied; its first line, followed by " at the
+    point", is raised as ValueError.  The ranks are exact (`_ranks_at_point`).
 
     >>> from schurcx import PolyRing, RATIONALS, koszul_complex
     >>> f = koszul_complex(PolyRing(RATIONALS, ("x", "y")).gens())
@@ -321,16 +317,16 @@ def homology_ranks_at_point(f, point):
     """
     point = _coerce_point(f.ring, point)
     values = [d.evaluate(point) for d in f.differentials]
-    for i, (lower, upper) in enumerate(zip(values, values[1:])):
-        for col, entries in enumerate(upper):
+
+    def product(lower, upper):  # the columns of lower . upper, one at a time
+        for entries in upper:
             acc = {}
             for j, c in entries.items():
                 add_scaled(acc, lower[j], c)
-            rows = reduce_terms(f.ring.field, acc)
-            if rows:
-                k = f.min_degree + i + 1
-                raise ValueError("d_%d . d_%d != 0 at row %d, column %d at the point"
-                                 % (k, k + 1, min(rows), col))
+            yield reduce_terms(f.ring.field, acc)
+
+    for line in _d_squared_failures(map(product, values, values[1:]), f.min_degree):
+        raise ValueError(line + " at the point")
     return homology_from_ranks(f, _ranks_at_point(f.ring.field, values, f.ranks))
 
 

@@ -31,8 +31,8 @@ class SchurBasis:
     def __init__(self, shape, f):
         self.shape = shape = Partition(shape)
         odd, even = [], []
-        for k in f.degrees():
-            (odd if k % 2 else even).extend((k, i) for i in range(f.rank_at(k)))
+        for k, rank in zip(f.degrees(), f.ranks):
+            (odd if k % 2 else even).extend((k, i) for i in range(rank))
         labels = list(range(-len(odd), 0)) + list(range(1, len(even) + 1))
         self.position = dict(zip(labels, odd + even))
         self.degree = {v: k for v, (k, _) in self.position.items()}
@@ -114,6 +114,11 @@ def schur_complex(shape, f):
     and column j of the differential from degree k is the image of the j-th
     standard tableau of degree k, in the canonical tableau order.  A shape
     with no standard tableau over f gives the zero complex in degree 0.
+
+    >>> from schurcx import PolyRing, RATIONALS, koszul_complex
+    >>> f = koszul_complex(PolyRing(RATIONALS, ("x", "y")).gens())
+    >>> schur_complex((1, 1), f).ranks, exterior_power(2, f).ranks
+    ((2, 4, 2), (2, 4, 2))
     """
     return _assemble(SchurBasis(shape, f), f)
 

@@ -80,8 +80,12 @@ RANKING = {
         "    _check_trials(trials)\n"),
     "homology ranking a pair that fails the point proof": (
         COMPLEXES,
-        "            if rows:\n",
-        "            if False:\n"),
+        'raise ValueError(line + " at the point")',
+        "break"),
+    "the d.d scan naming the highest row": (
+        COMPLEXES,
+        "min(rows)",
+        "max(rows)"),
     "an unranked differential lending older pivots": (
         COMPLEXES,
         "        skip = set(raised)\n",
@@ -95,6 +99,10 @@ RANKING = {
         COMPLEXES,
         "for m in matrices for col in m.columns",
         "for m in matrices[:1] for col in m.columns"),
+    "homology subtracting rank d_(k+1) twice": (
+        COMPLEXES,
+        "r - d[i] - d[i + 1]",
+        "r - d[i + 1] - d[i + 1]"),
     "a row kept under its smallest key while reduce walks down": (
         RING,
         "piv = max(res)",

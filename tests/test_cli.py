@@ -947,12 +947,18 @@ def test_internal_check_guards_output(tmp_path, capsys, koszul_file,
         return [] if len(calls) == 1 else ["forced failure"]
 
     monkeypatch.setattr(cli_mod, "validate_complex", fake_validate)
-    rc = main(["schur", "--complex", koszul_file, "--shape", "1,1"])
-    assert rc == 4
-    err = capsys.readouterr().err
-    assert "internal error" in err
-    assert err.splitlines()[1:] == ["forced failure"]
-    assert len(calls) == 2
+    out = tmp_path / "never.json"
+    for extra in ([], ["--out", str(out)]):
+        calls.clear()
+        rc = main(["schur", "--complex", koszul_file, "--shape", "1,1", *extra])
+        assert rc == 4
+        assert len(calls) == 2
+        # the message and the lines on stderr; nothing on stdout or in --out
+        captured = capsys.readouterr()
+        assert captured.err == ("internal error: output differentials do not "
+                                "compose to zero\nforced failure\n")
+        assert captured.out == ""
+    assert not out.exists()
 
 
 def test_console_script_runs(koszul_file):

@@ -224,6 +224,17 @@ def test_homology_at_point_ranks_whole_when_d_squared_is_not_zero():
         homology_ranks_at_point(f, (0, 1))
     assert str(refusal.value) == "d_3 . d_4 != 0 at row 1, column 1 at the point"
     assert validate_complex(f) == ["d_3 . d_4 != 0 at row 0, column 1"]
+    # two pairs fail: the ring check names both, the point check the first
+    f = FreeComplex(ring, 1, (2, 2, 2, 2),
+                    (PolyMatrix(ring, [[one, zero], [zero, x]]),
+                     PolyMatrix(ring, [[one, zero], [zero, one]]),
+                     PolyMatrix(ring, [[zero, x], [zero, y]])))
+    assert validate_complex(f) == ["d_2 . d_3 != 0 at row 0, column 0",
+                                   "d_3 . d_4 != 0 at row 0, column 1"]
+    for point in ((1, 1), (0, 1)):
+        with pytest.raises(ValueError) as refusal:
+            homology_ranks_at_point(f, point)
+        assert str(refusal.value) == "d_2 . d_3 != 0 at row 0, column 0 at the point"
 
 
 def test_homology_at_point_deletes_pivot_rows(monkeypatch):

@@ -9,6 +9,7 @@ import schurcx
 import schurcx.complexes
 import schurcx.oracles
 import schurcx.ring
+import schurcx.schur
 import schurcx.tableaux
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -16,7 +17,7 @@ README = Path(__file__).resolve().parent.parent / "README.md"
 
 def test_docstring_examples():
     for module in (schurcx, schurcx.complexes, schurcx.oracles, schurcx.ring,
-                   schurcx.tableaux):
+                   schurcx.schur, schurcx.tableaux):
         result = doctest.testmod(module)
         assert result.attempted > 0, module.__name__
         assert result.failed == 0, module.__name__

@@ -1,8 +1,8 @@
 """The `schurcx` namespace exports exactly what the README documents, no
 core module imports the test oracles and the oracles import no module of
 the package, only `ring` builds polynomials out of stored matrix entries,
-the trial policy of generic ranks lives in `complexes` alone, and assembly
-works on plain column tuples."""
+the trial policy of generic ranks lives in `complexes` alone, assembly
+works on plain column tuples, and in `cli.py` only `main` writes to stderr."""
 
 import ast
 import re
@@ -81,3 +81,14 @@ def test_assembly_keeps_tableaux_as_plain_column_tuples():
     for name in ("schur.py", "complexes.py"):
         names = list(_imported_modules(ast.parse((PACKAGE / name).read_text())))
         assert not [n for n in names if n.split(".")[-1] == "Tableau"], name
+
+
+def test_only_main_writes_to_stderr():
+    # a command reports a failure by raising CliError; `main` prints it
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    writers = {func.name for func in ast.walk(tree)
+               if isinstance(func, ast.FunctionDef)
+               for node in ast.walk(func)
+               if isinstance(node, ast.keyword) and node.arg == "file"
+               and ast.unparse(node.value) == "sys.stderr"}
+    assert writers == {"main"}
