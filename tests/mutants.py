@@ -147,6 +147,10 @@ STRAIGHTENING = {
         TABLEAUX,
         "x > y or (x == y and x < 0)",
         "x >= y"),
+    "straightening pops the oldest pending tableau, not the largest": (
+        TABLEAUX,
+        "t = max(pending)",
+        "t = next(iter(pending))"),
     "enumerate_standard dropping its last tableau": (
         TABLEAUX,
         "    return chains",

@@ -1,7 +1,7 @@
 """A seeded fuzz of the command line: mutated copies of a Koszul(x, y)
-complex file and a (2, 1) tableau file go through `cli.main` in process.
-Every case must exit 0-4, with no exception escaping `main`, within
-LIMIT_S seconds."""
+complex file and a (2, 1) tableau file go through `cli.main` in process,
+and so does one large tableau.  Every case must exit 0-4, with no exception
+escaping `main`, within LIMIT_S seconds."""
 
 import copy
 import json
@@ -78,3 +78,22 @@ def test_mutated_files_exit_cleanly(tmp_path, capsys):
                 capsys.readouterr()
                 assert code in range(5), (argv, text, code)
                 assert spent < LIMIT_S, (argv, text, spent)
+
+
+def test_large_tableau_straightens_in_time(tmp_path, capsys):
+    # shape (2^7), left column 8..14 and right column 1..7: every row breaks
+    # the row order, and the answer is the one standard filling
+    k = 7
+    entries = ([[1, j, k + j] for j in range(1, k + 1)]
+               + [[2, j, j] for j in range(1, k + 1)])
+    path = tmp_path / "large.json"
+    path.write_text(json.dumps({"shape": [2] * k, "entries": entries}))
+    start = time.perf_counter()
+    code = main(["straighten", "--tableau", str(path)])
+    spent = time.perf_counter() - start
+    out = capsys.readouterr().out
+    assert code == 0
+    assert spent < LIMIT_S, spent
+    assert json.loads(out) == [{"coefficient": 1, "tableau": (
+        [[1, j, j] for j in range(1, k + 1)]
+        + [[2, j, k + j] for j in range(1, k + 1)])}]

@@ -93,6 +93,15 @@ def test_w1_expands_each_column_pair_once(cold, monkeypatch):
     assert len(set(expanded)) == 549
 
 
+def test_each_column_pair_is_looked_up_once(cold):
+    # every row breaks the row order; taking the largest pending tableau
+    # first rewrites each tableau once, so no pair is looked up twice
+    t = Tableau((tuple(range(7, 13)), tuple(range(1, 7))))
+    assert straighten(t) == {Tableau((tuple(range(1, 7)), tuple(range(7, 13)))): 1}
+    info = _exchange.cache_info()
+    assert (info.hits + info.misses, info.misses) == (172, 172)
+
+
 def test_straighten_normalizes_before_the_cache(cold):
     t = Tableau(((-3, -2, -2), (1, 2, 3), (-1, 3)))
     # the odd letters of the first column swap with sign +1, the even

@@ -238,9 +238,12 @@ def test_straighten_output_standard():
     rng = random.Random(17)
     for _ in range(150):
         t = _random_tableau(rng, 3, 3)
-        for key, coeff in straighten(t).items():
+        result = straighten(t)
+        for key, coeff in result.items():
             assert is_standard(key)
             assert coeff != 0
+        # the column reading word order that `straighten` prints in
+        assert list(result) == sorted(result)
 
 
 def _random_tableau(rng, m, n, max_r=6):
